@@ -24,11 +24,14 @@ import (
 // over the changed relations. BuildStats exposes the construction
 // counters so callers can observe the cache behaviour.
 //
-// An Estimator is not safe for concurrent use.
+// An Estimator is safe for concurrent use. Calls may overlap: each
+// lazily built stage is built once, by whichever call needs it first,
+// and the counting runs of concurrent calls proceed in parallel with
+// results bit-identical to serial calls. ApplyDelta and
+// SetProbabilities wait for in-flight calls to finish and hold new ones
+// until the session is updated.
 type Estimator struct {
 	est  *core.Estimator
-	q    *Query
-	d    *Database
 	opts *Options
 }
 
@@ -39,8 +42,6 @@ type Estimator struct {
 func NewEstimator(q *Query, d *Database, opts *Options) *Estimator {
 	return &Estimator{
 		est:  core.NewEstimator(q.q, d.h, opts.core()),
-		q:    q,
-		d:    d,
 		opts: opts,
 	}
 }
@@ -95,11 +96,7 @@ func (e *Estimator) BuildStats() BuildStats {
 // ordering. Either way the session behaves exactly like a fresh
 // estimator on the new database.
 func (e *Estimator) SetProbabilities(d *Database) error {
-	if err := e.est.SetProbabilities(d.h); err != nil {
-		return err
-	}
-	e.d = d
-	return nil
+	return e.est.SetProbabilities(d.h)
 }
 
 // Probability computes Pr_H(Q) like the package-level Probability,
@@ -131,15 +128,7 @@ func (e *Estimator) Estimate(opts *Options) (float64, error) {
 // routing path queries through the string pipeline like the
 // package-level UniformReliability. opts may be nil.
 func (e *Estimator) UniformReliability(opts *Options) (*big.Float, error) {
-	copts := e.callOpts(opts)
-	if e.q.q.IsPath() && e.q.q.SelfJoinFree() && binaryOnly(e.d.h.DB(), e.q.q) {
-		c, err := e.est.PathEstimate(copts)
-		if err != nil {
-			return nil, err
-		}
-		return c.BigFloat(), nil
-	}
-	c, err := e.est.UREstimate(copts)
+	c, err := e.est.UniformReliability(e.callOpts(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -151,28 +140,28 @@ func (e *Estimator) UniformReliability(opts *Options) (*big.Float, error) {
 // draws (with distinct Seeds in opts) reuse the weighted automaton.
 // It returns nil with no error when Pr_H(Q) = 0.
 func (e *Estimator) SampleWorld(opts *Options) (*World, error) {
-	mask, err := e.est.SampleWorld(e.callOpts(opts))
+	mask, facts, err := e.est.SampleWorld(e.callOpts(opts))
 	if err != nil {
 		return nil, err
 	}
 	if mask == nil {
 		return nil, nil
 	}
-	return &World{Present: mask, facts: e.d.h.DB().Facts()}, nil
+	return &World{Present: mask, facts: facts}, nil
 }
 
 // SampleSatisfyingSubinstance draws a near-uniform satisfying
 // subinstance over the session's caches. It returns nil with no error
 // when the query is unsatisfiable over the database.
 func (e *Estimator) SampleSatisfyingSubinstance(opts *Options) (*World, error) {
-	mask, err := e.est.SampleSatisfying(e.callOpts(opts))
+	mask, facts, err := e.est.SampleSatisfying(e.callOpts(opts))
 	if err != nil {
 		return nil, err
 	}
 	if mask == nil {
 		return nil, nil
 	}
-	return &World{Present: mask, facts: e.d.h.DB().Facts()}, nil
+	return &World{Present: mask, facts: facts}, nil
 }
 
 // Explain returns the evaluation plan for the session's query, built

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"pqe/internal/count"
@@ -9,6 +10,7 @@ import (
 	"pqe/internal/efloat"
 	"pqe/internal/hypertree"
 	"pqe/internal/nfa"
+	"pqe/internal/nfta"
 	"pqe/internal/obs"
 	"pqe/internal/pdb"
 	"pqe/internal/reduction"
@@ -56,8 +58,24 @@ type BuildStats struct {
 // re-evaluating after a probability change skips decomposition and
 // automaton construction entirely.
 //
-// An Estimator is not safe for concurrent use.
+// An Estimator is safe for concurrent use: estimates, samples and
+// shard ranges may overlap, building each lazy stage once between them
+// and counting in parallel; ApplyDelta and SetProbabilities wait for
+// in-flight calls and block new ones until they finish.
 type Estimator struct {
+	// life is the session lifecycle lock. Every public call holds the
+	// read side for its whole duration; ApplyDelta and SetProbabilities
+	// take the write side, so a delta never changes projDB, h or the
+	// builders under a running sampler.
+	life sync.RWMutex
+	// mu makes lazy construction single-flight. It guards every memo
+	// below (version sync, classification, route decision, decomposition,
+	// projections, automata, weightings) and the phases binding. Entry
+	// points resolve their immutable artifacts under it (see build) and
+	// count outside it: automata are read-only once built, and the
+	// engines' plans tolerate concurrent callers.
+	mu sync.Mutex
+
 	q    *cq.Query
 	h    *pdb.Probabilistic // nil for a UR-only session over d
 	d    *pdb.Database
@@ -70,12 +88,11 @@ type Estimator struct {
 	// them.
 	sc *obs.Scope
 
-	// phases is the phase sink of the call currently executing (bound by
-	// bindPhases at every public entry point, nil when the caller's
-	// scope carries none). Construction stages triggered lazily inside a
-	// call accrue their wall time here as PhaseBuild, so a service can
-	// attribute build cost to the request that paid for it. An Estimator
-	// is not concurrency-safe, so a plain field suffices.
+	// phases is the phase sink of the call currently inside the build
+	// critical section (nil outside it, or when the caller's scope
+	// carries none). Construction stages accrue their wall time and
+	// their build kind here, so a service attributes build cost to the
+	// request that paid for it — never to one that only waited.
 	phases *obs.Phases
 
 	class     Classification
@@ -197,7 +214,8 @@ func (e *Estimator) version() uint64 {
 // the session's back (not through ApplyDelta or SetProbabilities): any
 // version drift drops every database-keyed cache, builders included, so
 // the next use rebuilds from scratch rather than serving estimates for
-// a database that no longer exists.
+// a database that no longer exists. Callers hold mu or the write side
+// of life.
 func (e *Estimator) syncVersion() {
 	if v := e.version(); v != e.srcVersion {
 		e.invalidateAll()
@@ -224,6 +242,8 @@ func (e *Estimator) syncVersion() {
 // Estimates after ApplyDelta are bit-identical to those of a fresh
 // session on the same database state with the same options and seed.
 func (e *Estimator) ApplyDelta(delta pdb.Delta) (pdb.DeltaSummary, error) {
+	e.life.Lock()
+	defer e.life.Unlock()
 	e.syncVersion()
 	var sum pdb.DeltaSummary
 	var err error
@@ -294,6 +314,8 @@ func (e *Estimator) noteMutation(rel string, withDelete bool) {
 // a rebind grows only Weightings, a rebuild also re-runs URReductions /
 // PathAutomata on next use.
 func (e *Estimator) SetProbabilities(h *pdb.Probabilistic) error {
+	e.life.Lock()
+	defer e.life.Unlock()
 	if e.h == nil {
 		return fmt.Errorf("core: estimator was built without probabilities")
 	}
@@ -325,9 +347,9 @@ func sameFactOrdering(a, b *pdb.Database) bool {
 	return true
 }
 
-// Class returns the query's Table 1 classification, reusing the cached
-// decomposition.
-func (e *Estimator) Class() Classification {
+// classification returns the query's Table 1 classification, reusing
+// the cached decomposition. Callers hold mu.
+func (e *Estimator) classification() Classification {
 	if e.classDone {
 		return e.class
 	}
@@ -353,10 +375,30 @@ func (e *Estimator) scope(opts Options) *obs.Scope {
 	return e.sc
 }
 
-// bindPhases points build-time attribution at the calling request's
-// phase sink for the duration of this call.
-func (e *Estimator) bindPhases(opts Options) {
-	e.phases = e.scope(opts).PhasesSink()
+// build runs fn in the construction critical section: under mu, synced
+// to the live instance version, with build attribution bound to the
+// calling request's phase sink. Entry points resolve every artifact
+// they need inside fn and run the counting engines after it returns,
+// so concurrent calls wait for each other only while a stage is being
+// built; that wait accrues to the waiting call's build phase. Callers
+// hold the read side of life.
+func (e *Estimator) build(opts Options, fn func() error) error {
+	ph := e.scope(opts).PhasesSink()
+	t0 := buildStart(ph)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	buildEnd(ph, t0)
+	e.phases = ph
+	defer func() { e.phases = nil }()
+	e.syncVersion()
+	return fn()
+}
+
+// countBuild bumps a pqe_build_* stage counter on the session registry
+// and labels the calling request's build.
+func (e *Estimator) countBuild(counter string, incremental bool) {
+	e.sc.Counter(counter).Inc()
+	e.phases.NoteBuild(incremental)
 }
 
 // buildStart/buildEnd bracket one construction stage for phase
@@ -385,7 +427,7 @@ func (e *Estimator) maxWidth() int {
 
 func (e *Estimator) decomposition() (*hypertree.Decomposition, error) {
 	if !e.decDone {
-		e.sc.Counter("pqe_build_decompositions_total").Inc()
+		e.countBuild("pqe_build_decompositions_total", false)
 		t0 := buildStart(e.phases)
 		_, span := e.sc.Span("pqe.decompose")
 		e.dec, e.decErr = hypertree.Decompose(e.q)
@@ -431,7 +473,7 @@ func (e *Estimator) urReduction() (*reduction.URReduction, error) {
 		e.urErr = fmt.Errorf("%w: no decomposition of width ≤ %d for %q", ErrUnsupported, e.maxWidth(), e.q)
 		return nil, e.urErr
 	}
-	e.sc.Counter("pqe_build_ur_reductions_total").Inc()
+	e.countBuild("pqe_build_ur_reductions_total", false)
 	t0 := buildStart(e.phases)
 	defer func() { buildEnd(e.phases, t0) }()
 	sc, span := e.sc.Span("pqe.build_ur")
@@ -446,9 +488,19 @@ func (e *Estimator) urReduction() (*reduction.URReduction, error) {
 	} else {
 		// The builder carries enumeration caches from the previous build;
 		// only vertices over relations dirtied by ApplyDelta re-derive.
-		e.sc.Counter("pqe_build_ur_incremental_total").Inc()
+		e.countBuild("pqe_build_ur_incremental_total", true)
 	}
 	e.urRed, e.urErr = e.urb.Build(sc)
+	if e.urRed != nil {
+		// The weighting interns its digit symbols into this reduction's
+		// interner, which the built automaton shares. Intern them now,
+		// while the reduction is still private to the build critical
+		// section: once published, concurrent counting (the acceptance
+		// index) and decoding read the interner, so it must not be
+		// written again. They get the IDs the weighting would give them.
+		e.urRed.Symbols.Intern(nfta.Digit0)
+		e.urRed.Symbols.Intern(nfta.Digit1)
+	}
 	if span != nil && e.urRed != nil {
 		span.SetAttr("states", e.urRed.Auto.NumStates())
 		span.SetAttr("tree_size", e.urRed.TreeSize)
@@ -470,7 +522,7 @@ func (e *Estimator) pathAutomaton() (*nfa.NFA, error) {
 		e.pathErr = fmt.Errorf("core: PathEstimate needs a self-join-free path query, got %q", e.q)
 		return nil, e.pathErr
 	}
-	e.sc.Counter("pqe_build_path_automata_total").Inc()
+	e.countBuild("pqe_build_path_automata_total", false)
 	t0 := buildStart(e.phases)
 	defer func() { buildEnd(e.phases, t0) }()
 	sc, span := e.sc.Span("pqe.build_path_nfa")
@@ -483,7 +535,7 @@ func (e *Estimator) pathAutomaton() (*nfa.NFA, error) {
 			return nil, berr
 		}
 	} else {
-		e.sc.Counter("pqe_build_path_incremental_total").Inc()
+		e.countBuild("pqe_build_path_incremental_total", true)
 	}
 	m, err := e.pathb.Build()
 	if err != nil {
@@ -511,7 +563,7 @@ func (e *Estimator) pqeReduction() (*reduction.PQEReduction, error) {
 		e.pqeErr = err
 		return nil, err
 	}
-	e.sc.Counter("pqe_build_weightings_total").Inc()
+	e.countBuild("pqe_build_weightings_total", false)
 	t0 := buildStart(e.phases)
 	_, span := e.sc.Span("pqe.weight_ur")
 	e.pqeRed, e.pqeErr = reduction.WeightUR(ur, e.projProb())
@@ -534,7 +586,7 @@ func (e *Estimator) pathPQEReduction() (*reduction.PathPQEReduction, error) {
 		e.pathPQEErr = err
 		return nil, err
 	}
-	e.sc.Counter("pqe_build_weightings_total").Inc()
+	e.countBuild("pqe_build_weightings_total", false)
 	t0 := buildStart(e.phases)
 	_, span := e.sc.Span("pqe.weight_path")
 	e.pathPQERed, e.pathPQEErr = reduction.WeightPathNFA(e.q, e.projProb(), base)
@@ -547,45 +599,66 @@ func (e *Estimator) pathPQEReduction() (*reduction.PathPQEReduction, error) {
 // pipeline, reusing the cached automaton. opts supplies the counting
 // knobs for this call.
 func (e *Estimator) PathEstimate(opts Options) (efloat.E, error) {
+	e.life.RLock()
+	defer e.life.RUnlock()
+	return e.pathEstimate(opts)
+}
+
+func (e *Estimator) pathEstimate(opts Options) (efloat.E, error) {
 	if err := opts.ctxErr(); err != nil {
 		return efloat.Zero, err
 	}
-	e.syncVersion()
-	e.bindPhases(opts)
 	sc, span := e.scope(opts).Span("pqe.path_estimate")
 	defer span.End()
-	m, err := e.pathAutomaton()
+	var m *nfa.NFA
+	var projSize int
+	err := e.build(opts, func() (err error) {
+		if m, err = e.pathAutomaton(); err == nil {
+			projSize = e.proj().Size()
+		}
+		return err
+	})
 	if err != nil {
 		return efloat.Zero, err
 	}
-	proj := e.proj()
 	var c efloat.E
 	if opts.Shard != nil {
-		if c, err = e.shardCount(sc, opts, ShardModePath, proj.Size(), m.NumStates()); err != nil {
+		if c, err = e.shardCount(sc, opts, ShardModePath, projSize, m.NumStates()); err != nil {
 			return efloat.Zero, err
 		}
 	} else {
-		c = nfa.Count(m, proj.Size(), opts.nfaOptions(sc))
+		c = nfa.Count(m, projSize, opts.nfaOptions(sc))
 	}
 	if err := opts.ctxErr(); err != nil {
 		return efloat.Zero, err // the counting loop bailed early; its value is garbage
 	}
 	// UR(Q, D) = UR(Q, D') · 2^(|D|−|D'|): facts over relations outside
 	// the query are free to be present or absent.
-	return c.Mul(efloat.Pow2(int64(e.d.Size() - proj.Size()))), nil
+	return c.Mul(efloat.Pow2(int64(e.d.Size() - projSize))), nil
 }
 
 // UREstimate approximates UR(Q, D) through the Theorem 3 tree pipeline,
 // reusing the cached reduction.
 func (e *Estimator) UREstimate(opts Options) (efloat.E, error) {
+	e.life.RLock()
+	defer e.life.RUnlock()
+	return e.urEstimate(opts)
+}
+
+func (e *Estimator) urEstimate(opts Options) (efloat.E, error) {
 	if err := opts.ctxErr(); err != nil {
 		return efloat.Zero, err
 	}
-	e.syncVersion()
-	e.bindPhases(opts)
 	sc, span := e.scope(opts).Span("pqe.ur_estimate")
 	defer span.End()
-	red, err := e.urReduction()
+	var red *reduction.URReduction
+	var projSize int
+	err := e.build(opts, func() (err error) {
+		if red, err = e.urReduction(); err == nil {
+			projSize = e.proj().Size()
+		}
+		return err
+	})
 	if err != nil {
 		return efloat.Zero, err
 	}
@@ -600,28 +673,64 @@ func (e *Estimator) UREstimate(opts Options) (efloat.E, error) {
 	if err := opts.ctxErr(); err != nil {
 		return efloat.Zero, err // the counting loop bailed early; its value is garbage
 	}
-	return c.Mul(efloat.Pow2(int64(e.d.Size() - e.proj().Size()))), nil
+	return c.Mul(efloat.Pow2(int64(e.d.Size() - projSize))), nil
+}
+
+// UniformReliability approximates UR(Q, D), routing self-join-free
+// path queries whose query-relation facts are all binary through the
+// string pipeline (PathEstimate) and everything else through the tree
+// pipeline (UREstimate).
+func (e *Estimator) UniformReliability(opts Options) (efloat.E, error) {
+	e.life.RLock()
+	defer e.life.RUnlock()
+	if e.q.IsPath() && e.q.SelfJoinFree() && binaryOnly(e.d, e.q) {
+		return e.pathEstimate(opts)
+	}
+	return e.urEstimate(opts)
+}
+
+// binaryOnly reports whether every fact over the query's relations is
+// binary — the string pipeline's input condition.
+func binaryOnly(d *pdb.Database, q *cq.Query) bool {
+	rels := q.RelationSet()
+	for _, f := range d.Facts() {
+		if rels[f.Relation] && f.Arity() != 2 {
+			return false
+		}
+	}
+	return true
 }
 
 // PQEEstimate approximates Pr_H(Q) (Theorem 1), reusing every cached
 // stage.
 func (e *Estimator) PQEEstimate(opts Options) (float64, error) {
+	e.life.RLock()
+	defer e.life.RUnlock()
 	if e.h == nil {
 		return 0, fmt.Errorf("core: estimator was built without probabilities")
 	}
 	if err := opts.ctxErr(); err != nil {
 		return 0, err
 	}
-	e.syncVersion()
-	e.bindPhases(opts)
-	sc, span := e.scope(opts).Span("pqe.pqe_estimate")
-	defer span.End()
-	weighted, err := e.pqeReduction()
+	var weighted *reduction.PQEReduction
+	err := e.build(opts, func() (err error) {
+		weighted, err = e.pqeReduction()
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
+	return e.countPQE(opts, weighted)
+}
+
+// countPQE runs the Theorem 1 counting phase over a resolved weighted
+// automaton, outside the build critical section.
+func (e *Estimator) countPQE(opts Options, weighted *reduction.PQEReduction) (float64, error) {
+	sc, span := e.scope(opts).Span("pqe.pqe_estimate")
+	defer span.End()
 	var c efloat.E
 	if opts.Shard != nil {
+		var err error
 		if c, err = e.shardCount(sc, opts, ShardModePQE, weighted.TreeSize, weighted.Auto.NumStates()); err != nil {
 			return 0, err
 		}
@@ -637,22 +746,33 @@ func (e *Estimator) PQEEstimate(opts Options) (float64, error) {
 // PathPQEEstimate approximates Pr_H(Q) through the string pipeline
 // (footnote 2 of §5.1), reusing the cached base automaton.
 func (e *Estimator) PathPQEEstimate(opts Options) (float64, error) {
+	e.life.RLock()
+	defer e.life.RUnlock()
 	if e.h == nil {
 		return 0, fmt.Errorf("core: estimator was built without probabilities")
 	}
 	if err := opts.ctxErr(); err != nil {
 		return 0, err
 	}
-	e.syncVersion()
-	e.bindPhases(opts)
-	sc, span := e.scope(opts).Span("pqe.path_pqe_estimate")
-	defer span.End()
-	red, err := e.pathPQEReduction()
+	var red *reduction.PathPQEReduction
+	err := e.build(opts, func() (err error) {
+		red, err = e.pathPQEReduction()
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
+	return e.countPathPQE(opts, red)
+}
+
+// countPathPQE runs the string-pipeline counting phase over a resolved
+// weighted automaton, outside the build critical section.
+func (e *Estimator) countPathPQE(opts Options, red *reduction.PathPQEReduction) (float64, error) {
+	sc, span := e.scope(opts).Span("pqe.path_pqe_estimate")
+	defer span.End()
 	var c efloat.E
 	if opts.Shard != nil {
+		var err error
 		if c, err = e.shardCount(sc, opts, ShardModePathPQE, red.WordSize, red.Auto.NumStates()); err != nil {
 			return 0, err
 		}
@@ -670,15 +790,20 @@ func (e *Estimator) PathPQEEstimate(opts Options) (float64, error) {
 // caches. With a Strategy set (per call or on the session) the full
 // cost-based router decides — or a forced engine runs unconditionally;
 // otherwise the legacy two-way routing below applies.
+//
+// Like every entry point, Evaluate resolves all it needs — the
+// classification, the decision, the chosen route's automaton — in one
+// build critical section, so of several concurrent calls on a cold
+// session exactly one builds and the others find everything cached.
 func (e *Estimator) Evaluate(opts Options) (Result, error) {
+	e.life.RLock()
+	defer e.life.RUnlock()
 	if e.h == nil {
 		return Result{}, fmt.Errorf("core: estimator was built without probabilities")
 	}
 	if err := opts.ctxErr(); err != nil {
 		return Result{}, err
 	}
-	e.syncVersion()
-	e.bindPhases(opts)
 	strategy := opts.Strategy
 	if strategy == "" {
 		strategy = e.opts.Strategy
@@ -686,8 +811,16 @@ func (e *Estimator) Evaluate(opts Options) (Result, error) {
 	if strategy != "" {
 		return e.evaluateRouted(strategy, opts)
 	}
-	class := e.Class()
-	if class.Safe && !opts.ForceFPRAS && !e.opts.ForceFPRAS {
+	var class Classification
+	var weighted *reduction.PQEReduction
+	werr := e.build(opts, func() (err error) {
+		class = e.classification()
+		if !e.safeRoute(class, opts) && class.SelfJoinFree && class.BoundedHW {
+			weighted, err = e.pqeReduction()
+		}
+		return err
+	})
+	if e.safeRoute(class, opts) {
 		p, err := safeplan.Evaluate(e.q, e.h)
 		if err != nil {
 			return Result{}, err
@@ -699,62 +832,94 @@ func (e *Estimator) Evaluate(opts Options) (Result, error) {
 		return Result{Class: class}, fmt.Errorf("%w: %q (self-join-free=%v, bounded-width=%v)",
 			ErrUnsupported, e.q, class.SelfJoinFree, class.BoundedHW)
 	}
-	p, err := e.PQEEstimate(opts)
+	if werr != nil {
+		return Result{Class: class}, werr
+	}
+	p, err := e.countPQE(opts, weighted)
 	if err != nil {
 		return Result{Class: class}, err
 	}
 	return Result{Probability: p, Method: MethodFPRASTree, Class: class}, nil
 }
 
+// safeRoute reports whether the legacy routing answers with the safe
+// plan.
+func (e *Estimator) safeRoute(class Classification, opts Options) bool {
+	return class.Safe && !opts.ForceFPRAS && !e.opts.ForceFPRAS
+}
+
 // SampleSatisfying draws a near-uniform satisfying subinstance through
-// the cached UR reduction (see the package-level SampleSatisfying).
-func (e *Estimator) SampleSatisfying(opts Options) ([]bool, error) {
-	e.syncVersion()
-	e.bindPhases(opts)
-	red, err := e.urReduction()
+// the cached UR reduction (see the package-level SampleSatisfying). It
+// also returns the database's fact ordering the mask indexes, copied
+// under the session lock so a later delta cannot reorder it.
+func (e *Estimator) SampleSatisfying(opts Options) ([]bool, []pdb.Fact, error) {
+	e.life.RLock()
+	defer e.life.RUnlock()
+	var red *reduction.URReduction
+	var proj *pdb.Database
+	err := e.build(opts, func() (err error) {
+		if red, err = e.urReduction(); err == nil {
+			proj = e.proj()
+		}
+		return err
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tree := count.SampleTree(red.Auto, red.TreeSize, opts.countOptions(e.scope(opts)))
 	if tree == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
 	projMask, err := red.DecodeTree(tree)
 	if err != nil {
-		return nil, fmt.Errorf("core: sampled tree failed to decode: %w", err)
+		return nil, nil, fmt.Errorf("core: sampled tree failed to decode: %w", err)
 	}
 	rng := opts.rng()
-	return liftMask(e.d, e.proj(), projMask, func(pdb.Fact) bool {
+	return liftMask(e.d, proj, projMask, func(pdb.Fact) bool {
 		return rng.Intn(2) == 0
-	}), nil
+	}), e.facts(), nil
 }
 
 // SampleWorld draws a possible world conditioned on Q through the
-// cached weighted reduction (see the package-level SampleWorld).
-func (e *Estimator) SampleWorld(opts Options) ([]bool, error) {
+// cached weighted reduction (see the package-level SampleWorld),
+// returning the fact ordering the mask indexes like SampleSatisfying.
+func (e *Estimator) SampleWorld(opts Options) ([]bool, []pdb.Fact, error) {
+	e.life.RLock()
+	defer e.life.RUnlock()
 	if e.h == nil {
-		return nil, fmt.Errorf("core: estimator was built without probabilities")
+		return nil, nil, fmt.Errorf("core: estimator was built without probabilities")
 	}
-	e.syncVersion()
-	e.bindPhases(opts)
-	red, err := e.urReduction()
+	var red *reduction.URReduction
+	var weighted *reduction.PQEReduction
+	var proj *pdb.Database
+	err := e.build(opts, func() (err error) {
+		if red, err = e.urReduction(); err != nil {
+			return err
+		}
+		if weighted, err = e.pqeReduction(); err == nil {
+			proj = e.proj()
+		}
+		return err
+	})
 	if err != nil {
-		return nil, err
-	}
-	weighted, err := e.pqeReduction()
-	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tree := count.SampleTree(weighted.Auto, weighted.TreeSize, opts.countOptions(e.scope(opts)))
 	if tree == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
 	projMask, err := red.DecodeTree(tree)
 	if err != nil {
-		return nil, fmt.Errorf("core: sampled tree failed to decode: %w", err)
+		return nil, nil, fmt.Errorf("core: sampled tree failed to decode: %w", err)
 	}
 	rng := opts.rng()
-	return liftMask(e.d, e.proj(), projMask, func(f pdb.Fact) bool {
+	return liftMask(e.d, proj, projMask, func(f pdb.Fact) bool {
 		return rng.Float64() < e.h.Prob(f).Float()
-	}), nil
+	}), e.facts(), nil
+}
+
+// facts copies the session database's fact ordering. Callers hold the
+// read side of life.
+func (e *Estimator) facts() []pdb.Fact {
+	return append([]pdb.Fact(nil), e.d.Facts()...)
 }

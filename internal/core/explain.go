@@ -41,7 +41,19 @@ func Explain(q *cq.Query, h *pdb.Probabilistic, opts Options) (*Report, error) {
 // same automata it constructs here are the ones a following Evaluate
 // or PQEEstimate call counts over.
 func (e *Estimator) Explain(opts Options) (*Report, error) {
-	class := e.Class()
+	e.life.RLock()
+	defer e.life.RUnlock()
+	var r *Report
+	err := e.build(opts, func() (err error) {
+		r, err = e.explain(opts)
+		return err
+	})
+	return r, err
+}
+
+// explain assembles the report; callers hold mu.
+func (e *Estimator) explain(opts Options) (*Report, error) {
+	class := e.classification()
 	r := &Report{Query: e.q.String(), Class: class}
 	strategy := opts.Strategy
 	if strategy == "" {

@@ -7,6 +7,8 @@ import (
 	"pqe/internal/lineage"
 	"pqe/internal/montecarlo"
 	"pqe/internal/obdd"
+	"pqe/internal/pdb"
+	"pqe/internal/reduction"
 	"pqe/internal/router"
 	"pqe/internal/safeplan"
 )
@@ -34,10 +36,10 @@ func routerClass(c Classification) router.Class {
 
 // routeDecision returns the session's memoized auto-routing decision,
 // recomputed after any structural invalidation (the decision reads fact
-// counts, which deltas change).
+// counts, which deltas change). Callers hold mu.
 func (e *Estimator) routeDecision() router.Decision {
 	if e.routeDec == nil {
-		d := router.Decide(e.q, e.proj(), routerClass(e.Class()), router.Config{})
+		d := router.Decide(e.q, e.proj(), routerClass(e.classification()), router.Config{})
 		e.routeDec = &d
 	}
 	return *e.routeDec
@@ -45,6 +47,7 @@ func (e *Estimator) routeDecision() router.Decision {
 
 // decideStrategy resolves the Strategy knob of one Evaluate call into a
 // routing decision: the memoized auto decision, or a forced strategy.
+// Callers hold mu.
 func (e *Estimator) decideStrategy(strategy string) (router.Decision, error) {
 	st, err := router.Parse(strategy)
 	if err != nil {
@@ -61,11 +64,47 @@ func (e *Estimator) decideStrategy(strategy string) (router.Decision, error) {
 	}, nil
 }
 
+// routeArtifacts are the session artifacts one routed evaluation runs
+// over, resolved in the build critical section.
+type routeArtifacts struct {
+	class    Classification
+	weighted *reduction.PQEReduction     // NFTA route
+	pathPQE  *reduction.PathPQEReduction // PathNFA route
+	proj     *pdb.Database               // OBDD and lineage routes
+	projH    *pdb.Probabilistic
+	err      error // construction failure of the chosen route
+}
+
+// resolveRoute builds what the decided route needs. Callers hold mu.
+func (e *Estimator) resolveRoute(dec router.Decision) routeArtifacts {
+	a := routeArtifacts{class: e.classification()}
+	switch dec.Strategy {
+	case router.NFTA:
+		if a.class.SelfJoinFree && a.class.BoundedHW {
+			a.weighted, a.err = e.pqeReduction()
+		}
+	case router.PathNFA:
+		a.pathPQE, a.err = e.pathPQEReduction()
+	case router.OBDD, router.Lineage:
+		a.proj, a.projH = e.proj(), e.projProb()
+	}
+	return a
+}
+
 // evaluateRouted is the strategy-routing arm of Evaluate: resolve the
-// decision, emit the dispatch telemetry, run the chosen engine, and
-// attribute the trials the anytime certificate saved.
+// decision and its route's artifacts, emit the dispatch telemetry, run
+// the chosen engine, and attribute the trials the anytime certificate
+// saved (a before/after difference on the call's registry, so exact
+// when each call has its own, as pqed's requests do).
 func (e *Estimator) evaluateRouted(strategy string, opts Options) (Result, error) {
-	dec, err := e.decideStrategy(strategy)
+	var dec router.Decision
+	var art routeArtifacts
+	err := e.build(opts, func() (err error) {
+		if dec, err = e.decideStrategy(strategy); err == nil {
+			art = e.resolveRoute(dec)
+		}
+		return err
+	})
 	if err != nil {
 		return Result{}, err
 	}
@@ -85,7 +124,7 @@ func (e *Estimator) evaluateRouted(strategy string, opts Options) (Result, error
 		savedBefore = reg.Counter("countnfta_trials_saved_total").Value() +
 			reg.Counter("countnfa_trials_saved_total").Value()
 	}
-	res, err := e.runStrategy(dec, opts)
+	res, err := e.runStrategy(dec, art, opts)
 	if reg != nil {
 		savedAfter := reg.Counter("countnfta_trials_saved_total").Value() +
 			reg.Counter("countnfa_trials_saved_total").Value()
@@ -95,9 +134,10 @@ func (e *Estimator) evaluateRouted(strategy string, opts Options) (Result, error
 	return res, err
 }
 
-// runStrategy executes one routing decision over the session's caches.
-func (e *Estimator) runStrategy(dec router.Decision, opts Options) (Result, error) {
-	class := e.Class()
+// runStrategy executes one routing decision over its resolved
+// artifacts.
+func (e *Estimator) runStrategy(dec router.Decision, art routeArtifacts, opts Options) (Result, error) {
+	class := art.class
 	switch dec.Strategy {
 	case router.SafePlan:
 		p, err := safeplan.Evaluate(e.q, e.h)
@@ -107,19 +147,25 @@ func (e *Estimator) runStrategy(dec router.Decision, opts Options) (Result, erro
 		f, _ := p.Float64()
 		return Result{Probability: f, Exact: true, Method: MethodSafePlan, Class: class}, nil
 	case router.OBDD, router.Lineage:
-		return e.lineageWMC(dec, class, opts)
+		return e.lineageWMC(dec, art, opts)
 	case router.NFTA:
 		if !class.SelfJoinFree || !class.BoundedHW {
 			return Result{Class: class}, fmt.Errorf("%w: %q (self-join-free=%v, bounded-width=%v)",
 				ErrUnsupported, e.q, class.SelfJoinFree, class.BoundedHW)
 		}
-		p, err := e.PQEEstimate(opts)
+		if art.err != nil {
+			return Result{Class: class}, art.err
+		}
+		p, err := e.countPQE(opts, art.weighted)
 		if err != nil {
 			return Result{Class: class}, err
 		}
 		return Result{Probability: p, Method: MethodFPRASTree, Class: class}, nil
 	case router.PathNFA:
-		p, err := e.PathPQEEstimate(opts)
+		if art.err != nil {
+			return Result{Class: class}, art.err
+		}
+		p, err := e.countPathPQE(opts, art.pathPQE)
 		if err != nil {
 			return Result{Class: class}, err
 		}
@@ -139,7 +185,8 @@ func (e *Estimator) runStrategy(dec router.Decision, opts Options) (Result, erro
 // lineage: OBDD compilation when the decision asked for it (falling
 // back to Shannon expansion — still exact — past the node budget),
 // Shannon expansion directly otherwise.
-func (e *Estimator) lineageWMC(dec router.Decision, class Classification, opts Options) (Result, error) {
+func (e *Estimator) lineageWMC(dec router.Decision, art routeArtifacts, opts Options) (Result, error) {
+	class := art.class
 	sc := e.scope(opts)
 	_, span := sc.Span("router.lineage_wmc")
 	defer span.End()
@@ -147,7 +194,7 @@ func (e *Estimator) lineageWMC(dec router.Decision, class Classification, opts O
 	if dec.WitnessBound > 0 {
 		limit = int(dec.WitnessBound)
 	}
-	f, err := lineage.Compute(e.q, e.proj(), limit)
+	f, err := lineage.Compute(e.q, art.proj, limit)
 	if err != nil {
 		return Result{Class: class}, err
 	}
@@ -158,14 +205,14 @@ func (e *Estimator) lineageWMC(dec router.Decision, class Classification, opts O
 	method := MethodLineage
 	if dec.Strategy == router.OBDD {
 		if o, oerr := obdd.CompileDNF(f, maxOBDDNodes); oerr == nil {
-			p = o.WMC(e.projProb())
+			p = o.WMC(art.projH)
 			method = MethodOBDD
 		} else if reg := sc.Registry(); reg != nil {
 			reg.Counter("router_obdd_fallbacks_total").Inc()
 		}
 	}
 	if p == nil {
-		p = f.WMCExact(e.projProb())
+		p = f.WMCExact(art.projH)
 	}
 	pf, _ := p.Float64()
 	return Result{Probability: pf, Exact: true, Method: method, Class: class}, nil

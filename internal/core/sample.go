@@ -19,7 +19,8 @@ import (
 // One-shot wrapper over Estimator.SampleSatisfying; reuse an Estimator
 // to amortize the automaton construction over many draws.
 func SampleSatisfying(q *cq.Query, d *pdb.Database, opts Options) ([]bool, error) {
-	return NewUREstimator(q, d, opts).SampleSatisfying(opts)
+	mask, _, err := NewUREstimator(q, d, opts).SampleSatisfying(opts)
+	return mask, err
 }
 
 // SampleWorld draws a possible world of the probabilistic database
@@ -34,7 +35,8 @@ func SampleSatisfying(q *cq.Query, d *pdb.Database, opts Options) ([]bool, error
 //
 // It returns nil with no error when Pr_H(Q) = 0.
 func SampleWorld(q *cq.Query, h *pdb.Probabilistic, opts Options) ([]bool, error) {
-	return NewEstimator(q, h, opts).SampleWorld(opts)
+	mask, _, err := NewEstimator(q, h, opts).SampleWorld(opts)
+	return mask, err
 }
 
 // liftMask expands a mask over the projected database to a mask over

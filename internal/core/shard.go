@@ -6,6 +6,7 @@ import (
 	"pqe/internal/count"
 	"pqe/internal/efloat"
 	"pqe/internal/nfa"
+	"pqe/internal/nfta"
 	"pqe/internal/obs"
 	"pqe/internal/pdb"
 )
@@ -144,53 +145,60 @@ func (e *Estimator) shardCount(sc *obs.Scope, opts Options, mode string, n, stat
 // and the reduction geometry is cross-checked against the spec before
 // any sampling runs.
 func (e *Estimator) CountTrials(spec ShardSpec, lo, hi, maxProcs int, sc *obs.Scope) ([]efloat.E, error) {
-	e.syncVersion()
-	check := func(n, states int) error {
-		if n != spec.N || states != spec.States {
-			return fmt.Errorf("core: shard geometry mismatch for mode %s: built (n=%d, states=%d), spec (n=%d, states=%d)",
-				spec.Mode, n, states, spec.N, spec.States)
+	e.life.RLock()
+	defer e.life.RUnlock()
+	// Resolve the phase's automaton in the build critical section; the
+	// range itself runs outside it, concurrently with other ranges.
+	var tree *nfta.NFTA
+	var word *nfa.NFA
+	var n, states int
+	err := e.build(Options{Obs: sc}, func() error {
+		switch spec.Mode {
+		case ShardModeUR:
+			red, err := e.urReduction()
+			if err != nil {
+				return err
+			}
+			tree, n = red.Auto, red.TreeSize
+		case ShardModePQE:
+			weighted, err := e.pqeReduction()
+			if err != nil {
+				return err
+			}
+			tree, n = weighted.Auto, weighted.TreeSize
+		case ShardModePath:
+			m, err := e.pathAutomaton()
+			if err != nil {
+				return err
+			}
+			word, n = m, e.proj().Size()
+		case ShardModePathPQE:
+			red, err := e.pathPQEReduction()
+			if err != nil {
+				return err
+			}
+			word, n = red.Auto, red.WordSize
+		default:
+			return fmt.Errorf("core: unknown shard mode %q", spec.Mode)
 		}
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	switch spec.Mode {
-	case ShardModeUR:
-		red, err := e.urReduction()
-		if err != nil {
-			return nil, err
-		}
-		if err := check(red.TreeSize, red.Auto.NumStates()); err != nil {
-			return nil, err
-		}
-		return count.TreesRange(red.Auto, spec.N, e.shardCountOptions(spec, maxProcs, sc), lo, hi)
-	case ShardModePQE:
-		weighted, err := e.pqeReduction()
-		if err != nil {
-			return nil, err
-		}
-		if err := check(weighted.TreeSize, weighted.Auto.NumStates()); err != nil {
-			return nil, err
-		}
-		return count.TreesRange(weighted.Auto, spec.N, e.shardCountOptions(spec, maxProcs, sc), lo, hi)
-	case ShardModePath:
-		m, err := e.pathAutomaton()
-		if err != nil {
-			return nil, err
-		}
-		if err := check(e.proj().Size(), m.NumStates()); err != nil {
-			return nil, err
-		}
-		return nfa.CountRange(m, spec.N, e.shardNFAOptions(spec, maxProcs, sc), lo, hi)
-	case ShardModePathPQE:
-		red, err := e.pathPQEReduction()
-		if err != nil {
-			return nil, err
-		}
-		if err := check(red.WordSize, red.Auto.NumStates()); err != nil {
-			return nil, err
-		}
-		return nfa.CountRange(red.Auto, spec.N, e.shardNFAOptions(spec, maxProcs, sc), lo, hi)
+	if tree != nil {
+		states = tree.NumStates()
+	} else {
+		states = word.NumStates()
 	}
-	return nil, fmt.Errorf("core: unknown shard mode %q", spec.Mode)
+	if n != spec.N || states != spec.States {
+		return nil, fmt.Errorf("core: shard geometry mismatch for mode %s: built (n=%d, states=%d), spec (n=%d, states=%d)",
+			spec.Mode, n, states, spec.N, spec.States)
+	}
+	if tree != nil {
+		return count.TreesRange(tree, spec.N, e.shardCountOptions(spec, maxProcs, sc), lo, hi)
+	}
+	return nfa.CountRange(word, spec.N, e.shardNFAOptions(spec, maxProcs, sc), lo, hi)
 }
 
 func (e *Estimator) shardCountOptions(spec ShardSpec, maxProcs int, sc *obs.Scope) count.Options {

@@ -223,7 +223,7 @@ func Trees(a *nfta.NFTA, n int, opts Options) efloat.E {
 	for t := range seeds {
 		seeds[t] = opts.Rng.Int63()
 	}
-	runs := make([]*run, opts.Trials)
+	trials := make([]trialStats, opts.Trials)
 	call := newCallState(pl, opts.procs)
 	trial := func(w *sched.Worker, t int) {
 		if opts.cancelled() {
@@ -238,7 +238,8 @@ func Trees(a *nfta.NFTA, n int, opts Options) efloat.E {
 		r.w, r.call = w, call
 		r.ensurePfx(n)
 		results[t] = r.treeEst(a.Initial(), n)
-		runs[t] = r
+		trials[t] = r.snapshot()
+		pl.putRun(r)
 		log2 := math.Inf(-1)
 		if !results[t].IsZero() {
 			log2 = results[t].Log2()
@@ -246,7 +247,7 @@ func Trees(a *nfta.NFTA, n int, opts Options) efloat.E {
 		log2s[t] = log2
 		if tspan != nil {
 			tspan.SetAttr("trial", t)
-			tspan.SetAttr("union_samples", r.unionSamples)
+			tspan.SetAttr("union_samples", trials[t].unionSamples)
 			tspan.End()
 		}
 		if conv != nil {
@@ -257,7 +258,7 @@ func Trees(a *nfta.NFTA, n int, opts Options) efloat.E {
 				Trials:       opts.Trials,
 				Epsilon:      opts.Epsilon,
 				Log2Estimate: log2,
-				UnionSamples: r.unionSamples,
+				UnionSamples: trials[t].unionSamples,
 				Elapsed:      time.Since(tt0),
 			})
 		}
@@ -307,13 +308,10 @@ func Trees(a *nfta.NFTA, n int, opts Options) efloat.E {
 		span.SetAttr("trials_executed", executed)
 	}
 	if opts.Stats != nil {
-		for _, r := range runs {
-			if r == nil {
-				continue
-			}
-			opts.Stats.TreeKeys += r.trees.Keys()
-			opts.Stats.ForestKeys += r.forests.Keys()
-			opts.Stats.UnionSamples += r.unionSamples
+		for _, ts := range trials {
+			opts.Stats.TreeKeys += ts.treeKeys
+			opts.Stats.ForestKeys += ts.forestKeys
+			opts.Stats.UnionSamples += ts.unionSamples
 		}
 		rej, _ := call.totals()
 		opts.Stats.Rejections += rej
@@ -324,42 +322,56 @@ func Trees(a *nfta.NFTA, n int, opts Options) efloat.E {
 		opts.Stats.AllocBytes += m1.TotalAlloc - m0.TotalAlloc
 	}
 	if reg := sc.Registry(); reg != nil {
-		flushRegistry(reg, pl, runs[:executed], call, st, planHit, time.Since(callStart))
+		flushRegistry(reg, pl, trials[:executed], call, st, planHit, time.Since(callStart))
 		reg.Counter("countnfta_trials_saved_total").Add(int64(saved))
 		if saved > 0 {
 			reg.Counter("countnfta_anytime_stops_total").Inc()
 		}
 	}
 	span.End()
-	pl.release(runs, call)
+	pl.releaseCall(call)
 	if len(results) == 0 {
 		return efloat.Zero // cancelled before any batch ran; caller discards
 	}
 	return efloat.UpperMedian(results)
 }
 
+// trialStats is one trial's effort counters, snapshotted when the trial
+// ends so its run can go straight back to the plan's pool: a call holds
+// at most one run per scheduler worker, not one per trial. A trial that
+// never ran (cancelled) keeps the zero value.
+type trialStats struct {
+	treeKeys, forestKeys, memoHits, unionSamples, acceptChecks int
+}
+
+func (r *run) snapshot() trialStats {
+	ts := trialStats{
+		treeKeys:     r.trees.Keys(),
+		forestKeys:   r.forests.Keys(),
+		memoHits:     r.memoHits,
+		unionSamples: r.unionSamples,
+	}
+	if r.top != nil {
+		ts.acceptChecks = r.top.acceptChecks
+	}
+	return ts
+}
+
 // flushRegistry folds the per-call effort counters into the unified
 // metrics registry, once per Trees call — never inside the sampling
 // loops, which only bump plain per-run and per-sampler integers.
-func flushRegistry(reg *obs.Registry, pl *plan, runs []*run, call *callState, st sched.Stats, planHit bool, wall time.Duration) {
+func flushRegistry(reg *obs.Registry, pl *plan, trials []trialStats, call *callState, st sched.Stats, planHit bool, wall time.Duration) {
 	var treeKeys, forestKeys, memoHits, unionSamples int
-	for _, r := range runs {
-		if r == nil {
-			continue
-		}
-		treeKeys += r.trees.Keys()
-		forestKeys += r.forests.Keys()
-		memoHits += r.memoHits
-		unionSamples += r.unionSamples
-	}
 	rejections, acceptChecks := call.totals()
-	for _, r := range runs {
-		if r != nil && r.top != nil {
-			acceptChecks += r.top.acceptChecks
-		}
+	for _, ts := range trials {
+		treeKeys += ts.treeKeys
+		forestKeys += ts.forestKeys
+		memoHits += ts.memoHits
+		unionSamples += ts.unionSamples
+		acceptChecks += ts.acceptChecks
 	}
 	reg.Counter("countnfta_calls_total").Inc()
-	reg.Counter("countnfta_trials_total").Add(int64(len(runs)))
+	reg.Counter("countnfta_trials_total").Add(int64(len(trials)))
 	reg.Counter("countnfta_tree_keys_total").Add(int64(treeKeys))
 	reg.Counter("countnfta_forest_keys_total").Add(int64(forestKeys))
 	reg.Counter("countnfta_memo_hits_total").Add(int64(memoHits))
@@ -403,7 +415,10 @@ func SampleTree(a *nfta.NFTA, n int, opts Options) *nfta.Tree {
 		}
 		tree = r.topSampler().sampleTree(a.Initial(), n)
 	})
-	pl.release([]*run{r}, call)
+	if r != nil {
+		pl.putRun(r)
+	}
+	pl.releaseCall(call)
 	return tree
 }
 
@@ -412,7 +427,8 @@ func SampleTree(a *nfta.NFTA, n int, opts Options) *nfta.Tree {
 // counters. Estimation (treeEst / symbolUnion / forestEst) runs
 // sequentially on the trial's scheduler worker and writes the tables;
 // sampling runs on sampler sessions that only read them (see
-// sampler.go). Runs are pooled on the plan and reset on reuse.
+// sampler.go). Runs are pooled on the plan, returned the moment their
+// trial ends, and reset on reuse.
 type run struct {
 	pl       *plan
 	seed     int64

@@ -171,28 +171,28 @@ func (pl *plan) putSamplerLocked(s *sampler) {
 	}
 }
 
-// release returns a call's runs (with their top-level samplers) and
-// worker samplers to the pool. Callers must be done reading counters.
-func (pl *plan) release(runs []*run, call *callState) {
+// putRun returns one finished trial's run (with its top-level sampler)
+// to the pool. Callers snapshot the run's counters first.
+func (pl *plan) putRun(r *run) {
 	pl.mu.Lock()
-	for _, r := range runs {
-		if r == nil {
-			continue
-		}
-		if r.top != nil {
-			pl.putSamplerLocked(r.top)
-			r.top = nil
-		}
-		r.w, r.call = nil, nil
-		if len(pl.freeRuns) < maxPooled {
-			pl.freeRuns = append(pl.freeRuns, r)
-		}
+	if r.top != nil {
+		pl.putSamplerLocked(r.top)
+		r.top = nil
 	}
-	if call != nil {
-		for _, s := range call.smps {
-			if s != nil {
-				pl.putSamplerLocked(s)
-			}
+	r.w, r.call = nil, nil
+	if len(pl.freeRuns) < maxPooled {
+		pl.freeRuns = append(pl.freeRuns, r)
+	}
+	pl.mu.Unlock()
+}
+
+// releaseCall returns a call's worker samplers to the pool. Callers
+// must be done reading their counters.
+func (pl *plan) releaseCall(call *callState) {
+	pl.mu.Lock()
+	for _, s := range call.smps {
+		if s != nil {
+			pl.putSamplerLocked(s)
 		}
 	}
 	pl.mu.Unlock()

@@ -65,7 +65,7 @@ func TreesRange(a *nfta.NFTA, n int, opts Options, lo, hi int) ([]efloat.E, erro
 		callStart = time.Now()
 	}
 	results := make([]efloat.E, hi-lo)
-	runs := make([]*run, hi-lo)
+	trials := make([]trialStats, hi-lo)
 	call := newCallState(pl, opts.procs)
 	st := sched.Run(sched.Config{
 		Procs:  opts.procs,
@@ -86,14 +86,15 @@ func TreesRange(a *nfta.NFTA, n int, opts Options, lo, hi int) ([]efloat.E, erro
 		r.w, r.call = w, call
 		r.ensurePfx(n)
 		results[i] = r.treeEst(a.Initial(), n)
-		runs[i] = r
+		trials[i] = r.snapshot()
+		pl.putRun(r)
 		log2 := math.Inf(-1)
 		if !results[i].IsZero() {
 			log2 = results[i].Log2()
 		}
 		if tspan != nil {
 			tspan.SetAttr("trial", t)
-			tspan.SetAttr("union_samples", r.unionSamples)
+			tspan.SetAttr("union_samples", trials[i].unionSamples)
 			tspan.End()
 		}
 		if conv != nil {
@@ -104,16 +105,16 @@ func TreesRange(a *nfta.NFTA, n int, opts Options, lo, hi int) ([]efloat.E, erro
 				Trials:       opts.Trials,
 				Epsilon:      opts.Epsilon,
 				Log2Estimate: log2,
-				UnionSamples: r.unionSamples,
+				UnionSamples: trials[i].unionSamples,
 				Elapsed:      time.Since(tt0),
 			})
 		}
 	})
 	if reg := sc.Registry(); reg != nil {
-		flushRegistry(reg, pl, runs, call, st, planHit, time.Since(callStart))
+		flushRegistry(reg, pl, trials, call, st, planHit, time.Since(callStart))
 	}
 	span.End()
-	pl.release(runs, call)
+	pl.releaseCall(call)
 	if opts.cancelled() {
 		return nil, opts.Ctx.Err()
 	}

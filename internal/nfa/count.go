@@ -183,7 +183,7 @@ func Count(m *NFA, n int, opts CountOptions) efloat.E {
 	for t := range seeds {
 		seeds[t] = opts.Rng.Int63()
 	}
-	runs := make([]*wordRun, opts.Trials)
+	trials := make([]trialStats, opts.Trials)
 	call := newCallState(pl, opts.procs)
 	trial := func(w *sched.Worker, t int) {
 		if opts.cancelled() {
@@ -198,7 +198,8 @@ func Count(m *NFA, n int, opts CountOptions) efloat.E {
 		r.w, r.call = w, call
 		r.ensurePfx(n)
 		results[t] = r.topLevel(n)
-		runs[t] = r
+		trials[t] = r.snapshot()
+		pl.putRun(r)
 		log2 := math.Inf(-1)
 		if !results[t].IsZero() {
 			log2 = results[t].Log2()
@@ -206,7 +207,7 @@ func Count(m *NFA, n int, opts CountOptions) efloat.E {
 		log2s[t] = log2
 		if tspan != nil {
 			tspan.SetAttr("trial", t)
-			tspan.SetAttr("union_samples", r.unionSamples)
+			tspan.SetAttr("union_samples", trials[t].unionSamples)
 			tspan.End()
 		}
 		if conv != nil {
@@ -217,7 +218,7 @@ func Count(m *NFA, n int, opts CountOptions) efloat.E {
 				Trials:       opts.Trials,
 				Epsilon:      opts.Epsilon,
 				Log2Estimate: log2,
-				UnionSamples: r.unionSamples,
+				UnionSamples: trials[t].unionSamples,
 				Elapsed:      time.Since(tt0),
 			})
 		}
@@ -267,11 +268,8 @@ func Count(m *NFA, n int, opts CountOptions) efloat.E {
 		span.SetAttr("trials_executed", executed)
 	}
 	if opts.Stats != nil {
-		for _, r := range runs {
-			if r == nil {
-				continue
-			}
-			opts.Stats.record(r)
+		for _, ts := range trials {
+			opts.Stats.record(ts)
 		}
 		rej, _ := call.totals()
 		opts.Stats.Rejections += rej
@@ -282,42 +280,56 @@ func Count(m *NFA, n int, opts CountOptions) efloat.E {
 		opts.Stats.AllocBytes += m1.TotalAlloc - m0.TotalAlloc
 	}
 	if reg := sc.Registry(); reg != nil {
-		flushRegistry(reg, pl, runs[:executed], call, st, planHit, time.Since(callStart))
+		flushRegistry(reg, pl, trials[:executed], call, st, planHit, time.Since(callStart))
 		reg.Counter("countnfa_trials_saved_total").Add(int64(saved))
 		if saved > 0 {
 			reg.Counter("countnfa_anytime_stops_total").Inc()
 		}
 	}
 	span.End()
-	pl.release(runs, call)
+	pl.releaseCall(call)
 	if len(results) == 0 {
 		return efloat.Zero // cancelled before any batch ran; caller discards
 	}
 	return efloat.UpperMedian(results)
 }
 
+// trialStats is one trial's effort counters, snapshotted when the trial
+// ends so its run can go straight back to the plan's pool: a call holds
+// at most one run per scheduler worker, not one per trial. A trial that
+// never ran (cancelled) keeps the zero value.
+type trialStats struct {
+	wordKeys, unionKeys, memoHits, unionSamples, acceptChecks int
+}
+
+func (r *wordRun) snapshot() trialStats {
+	ts := trialStats{
+		wordKeys:     r.words.Keys(),
+		unionKeys:    r.unions.Keys(),
+		memoHits:     r.memoHits,
+		unionSamples: r.unionSamples,
+	}
+	if r.top != nil {
+		ts.acceptChecks = r.top.acceptChecks
+	}
+	return ts
+}
+
 // flushRegistry folds the per-call effort counters into the unified
 // metrics registry, once per Count call — never inside the sampling
 // loops, which only bump plain per-run and per-sampler integers.
-func flushRegistry(reg *obs.Registry, pl *wordPlan, runs []*wordRun, call *callState, st sched.Stats, planHit bool, wall time.Duration) {
+func flushRegistry(reg *obs.Registry, pl *wordPlan, trials []trialStats, call *callState, st sched.Stats, planHit bool, wall time.Duration) {
 	var wordKeys, unionKeys, memoHits, unionSamples int
-	for _, r := range runs {
-		if r == nil {
-			continue
-		}
-		wordKeys += r.words.Keys()
-		unionKeys += r.unions.Keys()
-		memoHits += r.memoHits
-		unionSamples += r.unionSamples
-	}
 	rejections, acceptChecks := call.totals()
-	for _, r := range runs {
-		if r != nil && r.top != nil {
-			acceptChecks += r.top.acceptChecks
-		}
+	for _, ts := range trials {
+		wordKeys += ts.wordKeys
+		unionKeys += ts.unionKeys
+		memoHits += ts.memoHits
+		unionSamples += ts.unionSamples
+		acceptChecks += ts.acceptChecks
 	}
 	reg.Counter("countnfa_calls_total").Inc()
-	reg.Counter("countnfa_trials_total").Add(int64(len(runs)))
+	reg.Counter("countnfa_trials_total").Add(int64(len(trials)))
 	reg.Counter("countnfa_word_keys_total").Add(int64(wordKeys))
 	reg.Counter("countnfa_union_keys_total").Add(int64(unionKeys))
 	reg.Counter("countnfa_memo_hits_total").Add(int64(memoHits))
@@ -341,10 +353,10 @@ func flushRegistry(reg *obs.Registry, pl *wordPlan, runs []*wordRun, call *callS
 	reg.Histogram("countnfa_call_seconds").Observe(wall.Seconds())
 }
 
-func (s *Stats) record(r *wordRun) {
-	s.WordKeys += r.words.Keys()
-	s.UnionKeys += r.unions.Keys()
-	s.UnionSamples += r.unionSamples
+func (s *Stats) record(ts trialStats) {
+	s.WordKeys += ts.wordKeys
+	s.UnionKeys += ts.unionKeys
+	s.UnionSamples += ts.unionSamples
 }
 
 // wordRun is the thin mutable half of a trial: the seed, the dense memo
@@ -352,7 +364,8 @@ func (s *Stats) record(r *wordRun) {
 // (prefix.go) and the effort counters. Estimation (estimate / unionEst)
 // runs sequentially on the trial's scheduler worker and writes the
 // tables; sampling runs on sampler sessions that only read them (see
-// sampler.go). Runs are pooled on the plan and reset on reuse.
+// sampler.go). Runs are pooled on the plan, returned the moment their
+// trial ends, and reset on reuse.
 type wordRun struct {
 	pl       *wordPlan
 	finals   bitset.Set
@@ -535,6 +548,9 @@ func SampleWord(m *NFA, n int, opts CountOptions) []int {
 		}
 		word = r.topSampler().sampleTop(n)
 	})
-	pl.release([]*wordRun{r}, call)
+	if r != nil {
+		pl.putRun(r)
+	}
+	pl.releaseCall(call)
 	return word
 }

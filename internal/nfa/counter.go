@@ -69,7 +69,7 @@ func (c *Counter) Sample(n int) []int {
 // RecordStats adds the session's accumulated effort counters to s.
 func (c *Counter) RecordStats(s *Stats) {
 	for _, r := range c.trials {
-		s.record(r)
+		s.record(r.snapshot())
 		if r.top != nil {
 			s.Rejections += r.top.rejections
 		}

@@ -92,28 +92,28 @@ func (pl *wordPlan) putSamplerLocked(s *sampler) {
 	}
 }
 
-// release returns a call's runs (with their top-level samplers) and
-// worker samplers to the pool. Callers must be done reading counters.
-func (pl *wordPlan) release(runs []*wordRun, call *callState) {
+// putRun returns one finished trial's run (with its top-level sampler)
+// to the pool. Callers snapshot the run's counters first.
+func (pl *wordPlan) putRun(r *wordRun) {
 	pl.mu.Lock()
-	for _, r := range runs {
-		if r == nil {
-			continue
-		}
-		if r.top != nil {
-			pl.putSamplerLocked(r.top)
-			r.top = nil
-		}
-		r.w, r.call = nil, nil
-		if len(pl.freeRuns) < maxPooled {
-			pl.freeRuns = append(pl.freeRuns, r)
-		}
+	if r.top != nil {
+		pl.putSamplerLocked(r.top)
+		r.top = nil
 	}
-	if call != nil {
-		for _, s := range call.smps {
-			if s != nil {
-				pl.putSamplerLocked(s)
-			}
+	r.w, r.call = nil, nil
+	if len(pl.freeRuns) < maxPooled {
+		pl.freeRuns = append(pl.freeRuns, r)
+	}
+	pl.mu.Unlock()
+}
+
+// releaseCall returns a call's worker samplers to the pool. Callers
+// must be done reading their counters.
+func (pl *wordPlan) releaseCall(call *callState) {
+	pl.mu.Lock()
+	for _, s := range call.smps {
+		if s != nil {
+			pl.putSamplerLocked(s)
 		}
 	}
 	pl.mu.Unlock()

@@ -61,7 +61,7 @@ func CountRange(m *NFA, n int, opts CountOptions, lo, hi int) ([]efloat.E, error
 		callStart = time.Now()
 	}
 	results := make([]efloat.E, hi-lo)
-	runs := make([]*wordRun, hi-lo)
+	trials := make([]trialStats, hi-lo)
 	call := newCallState(pl, opts.procs)
 	st := sched.Run(sched.Config{
 		Procs:  opts.procs,
@@ -82,14 +82,15 @@ func CountRange(m *NFA, n int, opts CountOptions, lo, hi int) ([]efloat.E, error
 		r.w, r.call = w, call
 		r.ensurePfx(n)
 		results[i] = r.topLevel(n)
-		runs[i] = r
+		trials[i] = r.snapshot()
+		pl.putRun(r)
 		log2 := math.Inf(-1)
 		if !results[i].IsZero() {
 			log2 = results[i].Log2()
 		}
 		if tspan != nil {
 			tspan.SetAttr("trial", t)
-			tspan.SetAttr("union_samples", r.unionSamples)
+			tspan.SetAttr("union_samples", trials[i].unionSamples)
 			tspan.End()
 		}
 		if conv != nil {
@@ -100,16 +101,16 @@ func CountRange(m *NFA, n int, opts CountOptions, lo, hi int) ([]efloat.E, error
 				Trials:       opts.Trials,
 				Epsilon:      opts.Epsilon,
 				Log2Estimate: log2,
-				UnionSamples: r.unionSamples,
+				UnionSamples: trials[i].unionSamples,
 				Elapsed:      time.Since(tt0),
 			})
 		}
 	})
 	if reg := sc.Registry(); reg != nil {
-		flushRegistry(reg, pl, runs, call, st, planHit, time.Since(callStart))
+		flushRegistry(reg, pl, trials, call, st, planHit, time.Since(callStart))
 	}
 	span.End()
-	pl.release(runs, call)
+	pl.releaseCall(call)
 	if opts.cancelled() {
 		return nil, opts.Ctx.Err()
 	}

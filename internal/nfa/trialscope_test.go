@@ -1,0 +1,48 @@
+package nfa
+
+import (
+	"testing"
+
+	"pqe/internal/obs"
+)
+
+// Runs are trial-scoped: a call snapshots each trial's effort counters
+// and hands the run back to the plan's pool as soon as the trial ends,
+// so a sequential call never holds more than one run. The counter
+// values are pinned from the call-scoped trial loop that kept every run
+// alive until the registry flush; the snapshot must reproduce them.
+func TestTrialScopedRuns(t *testing.T) {
+	cases := []struct {
+		name   string
+		call   func(a *NFA, opts CountOptions) error
+		counts map[string]int64
+	}{
+		{"Count", func(a *NFA, opts CountOptions) error {
+			Count(a, 9, opts)
+			return nil
+		}, map[string]int64{"memo_hits": 110, "memo_misses": 130, "union_samples": 6750, "accept_checks": 6750, "trials": 5}},
+		{"CountRange", func(a *NFA, opts CountOptions) error {
+			_, err := CountRange(a, 9, opts, 1, 4)
+			return err
+		}, map[string]int64{"memo_hits": 66, "memo_misses": 78, "union_samples": 4050, "accept_checks": 4050, "trials": 3}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := buildAB()
+			reg := obs.NewRegistry()
+			opts := CountOptions{Epsilon: 0.2, Trials: 5, Seed: 7, MaxProcs: 1, Obs: obs.NewScope(nil, reg, nil)}
+			if err := tc.call(a, opts); err != nil {
+				t.Fatal(err)
+			}
+			pl, _ := planFor(a)
+			if n := len(pl.freeRuns); n > 1 {
+				t.Errorf("plan pool holds %d runs after a MaxProcs 1 call, want ≤ 1", n)
+			}
+			for name, want := range tc.counts {
+				if got := reg.Counter("countnfa_" + name + "_total").Value(); got != want {
+					t.Errorf("countnfa_%s_total = %d, want %d", name, got, want)
+				}
+			}
+		})
+	}
+}

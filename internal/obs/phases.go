@@ -49,6 +49,9 @@ func PhaseNames() []string { return append([]string(nil), phaseNames[:]...) }
 // nil-safe no-ops, preserving the package's disabled-path contract.
 type Phases struct {
 	ns [NumPhases]atomic.Int64
+	// full and incremental count the construction stages this request
+	// built from scratch and through an incremental builder.
+	full, incremental atomic.Int64
 }
 
 // NewPhases returns an empty accumulator.
@@ -81,6 +84,38 @@ func (ph *Phases) Total() time.Duration {
 		t += ph.ns[i].Load()
 	}
 	return time.Duration(t)
+}
+
+// NoteBuild records that the request built one construction stage,
+// from scratch or incrementally (an ApplyDelta-maintained builder
+// re-deriving only its dirty parts). No-op on nil.
+func (ph *Phases) NoteBuild(incremental bool) {
+	if ph == nil {
+		return
+	}
+	if incremental {
+		ph.incremental.Add(1)
+	} else {
+		ph.full.Add(1)
+	}
+}
+
+// Build labels the construction this request paid for: "incremental"
+// when any stage was patched incrementally, "full" when any stage was
+// built from scratch, "cached" when everything came from the session.
+// The label reflects only builds the request itself ran, never builds
+// by a concurrent request on the same session.
+func (ph *Phases) Build() string {
+	switch {
+	case ph == nil:
+		return "cached"
+	case ph.incremental.Load() > 0:
+		return "incremental"
+	case ph.full.Load() > 0:
+		return "full"
+	default:
+		return "cached"
+	}
 }
 
 // Seconds returns the phase breakdown as a name→seconds map, the form

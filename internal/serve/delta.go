@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"math/big"
 	"net/http"
 	"time"
@@ -50,8 +49,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req deltaRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		tk.fail(http.StatusBadRequest, "bad request body: %v", err)
+	if status, err := decodeBody(w, r, &req); err != nil {
+		tk.fail(status, "%v", err)
 		return
 	}
 	if req.Database == "" {

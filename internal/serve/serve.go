@@ -40,6 +40,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"math/big"
 	"net/http"
@@ -296,6 +297,27 @@ type errorResponse struct {
 	Version uint64 `json:"version,omitempty"`
 }
 
+// maxBodyBytes bounds every request body. A fixed cap, not a knob: the
+// largest legitimate bodies (deltas of a few thousand ops) are far
+// below it, and it keeps one oversized upload from pinning memory.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into
+// v. On failure it returns the response status: 413 for an oversized
+// body, 400 for a malformed one.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBodyBytes)
+	default:
+		return http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
+	}
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -315,9 +337,9 @@ func (s *Server) admit(tk *track, r *http.Request) *call {
 		return nil
 	}
 	var req estimateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if status, err := decodeBody(tk.w, r, &req); err != nil {
 		tk.ensureID(0)
-		tk.fail(http.StatusBadRequest, "bad request body: %v", err)
+		tk.fail(status, "%v", err)
 		return nil
 	}
 	// The correlation ID derives from the request seed once the body is
@@ -470,15 +492,11 @@ func (c *call) run(onTrial func(pqe.TrialUpdate)) (estimateResponse, int, error)
 	})
 	opts := c.options(tel)
 
-	// The per-session mutex serializes concurrent identical requests —
-	// an Estimator is not safe for concurrent use. Each request then
-	// runs the same seeded, deterministic call, so concurrent identical
-	// requests return bit-identical estimates. Waiting behind an
-	// identical in-flight request is queue time too.
-	lockT0 = time.Now()
-	sess.mu.Lock()
-	tk.phases.Add(obs.PhaseQueue, time.Since(lockT0))
-	statsBefore := sess.est.BuildStats()
+	// Requests sharing the session run concurrently: the Estimator
+	// builds each stage once (a request that arrives mid-build waits for
+	// it inside the call, which counts as its build time) and every
+	// request then counts on its own seeded trial streams, so concurrent
+	// identical requests return bit-identical estimates.
 	callT0 := time.Now()
 	resp := estimateResponse{Database: c.ent.name, Version: version, Cache: cacheLabel(hit)}
 	var err error
@@ -504,8 +522,6 @@ func (c *call) run(onTrial func(pqe.TrialUpdate)) (estimateResponse, int, error)
 		}
 	}
 	callDur := time.Since(callT0)
-	statsAfter := sess.est.BuildStats()
-	sess.mu.Unlock()
 
 	// Split the engine call into build (automaton construction, accrued
 	// into the per-request telemetry by the engine) and sample
@@ -516,7 +532,7 @@ func (c *call) run(onTrial func(pqe.TrialUpdate)) (estimateResponse, int, error)
 	}
 	tk.phases.Add(obs.PhaseBuild, build)
 	tk.phases.Add(obs.PhaseSample, callDur-build)
-	tk.build = classifyBuild(statsBefore, statsAfter)
+	tk.build = tel.BuildKind()
 	tk.method = resp.Method
 	tk.reason = resp.Reason
 	tk.trials = trials.Load()
@@ -528,27 +544,6 @@ func (c *call) run(onTrial func(pqe.TrialUpdate)) (estimateResponse, int, error)
 		return resp, errStatus(c, err), err
 	}
 	return resp, http.StatusOK, nil
-}
-
-// classifyBuild labels what session construction this call paid for,
-// from the BuildStats delta around it: nothing ran ("cached"), an
-// ApplyDelta-maintained automaton was patched ("incremental"), or a
-// stage was built from scratch ("full"). The counters are per-session
-// but the session registry is shared, so under concurrent load on
-// other sessions the label is best-effort.
-func classifyBuild(before, after pqe.BuildStats) string {
-	switch {
-	case after.IncrementalUR > before.IncrementalUR ||
-		after.IncrementalPath > before.IncrementalPath:
-		return "incremental"
-	case after.Decompositions > before.Decompositions ||
-		after.URReductions > before.URReductions ||
-		after.PathAutomata > before.PathAutomata ||
-		after.Weightings > before.Weightings:
-		return "full"
-	default:
-		return "cached"
-	}
 }
 
 func cacheLabel(hit bool) string {

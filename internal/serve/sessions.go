@@ -3,18 +3,18 @@ package serve
 import (
 	"container/list"
 	"strconv"
-	"sync"
 
 	"pqe"
 	"pqe/internal/obs"
 )
 
-// session is one cached Estimator plus the mutex that serializes its
-// users (an Estimator is not safe for concurrent use). A session keeps
+// session is one cached Estimator. It takes no lock of its own: an
+// Estimator is safe for concurrent use, so requests that share a
+// session (same query, database and version, differing in seed or ε)
+// build each stage once and then count in parallel. A session keeps
 // working after eviction — in-flight holders own a direct pointer —
 // the LRU only bounds how many are retained for reuse.
 type session struct {
-	mu  sync.Mutex
 	est *pqe.Estimator
 	db  string // database name, for bulk eviction on delta
 	key string
@@ -22,8 +22,7 @@ type session struct {
 
 // sessionLRU is a bounded map of sessions with least-recently-used
 // eviction. Callers must hold the server mutex (Server.mu) — the LRU
-// itself is not synchronized; the per-session mutex protects the
-// estimator inside.
+// itself is not synchronized.
 type sessionLRU struct {
 	max   int
 	items map[string]*list.Element // key -> element holding *session

@@ -44,24 +44,18 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // executes trial ranges on cached estimator sessions. Sessions are
 // plan-cached core.Estimators, so repeated ranges of the same instance
 // skip construction entirely — the same warm-session economics the
-// in-process engines have.
+// in-process engines have. core.Estimator is safe for concurrent use,
+// so ranges of one session from several coordinator connections run in
+// parallel; only the first one on a cold session builds its automaton.
 type Server struct {
 	cfg ServerConfig
 
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
-	sessions map[string]*session
+	sessions map[string]*core.Estimator
 	order    []string // LRU order, least recent first
 	closed   bool
-}
-
-// session is one cached (query, db, max width) estimator. The mutex
-// serializes count requests — core.Estimator is not safe for
-// concurrent use — while distinct sessions run concurrently.
-type session struct {
-	mu  sync.Mutex
-	est *core.Estimator
 }
 
 // NewServer returns an unstarted worker; call Serve with a listener.
@@ -69,7 +63,7 @@ func NewServer(cfg ServerConfig) *Server {
 	return &Server{
 		cfg:      cfg.withDefaults(),
 		conns:    make(map[net.Conn]struct{}),
-		sessions: make(map[string]*session),
+		sessions: make(map[string]*core.Estimator),
 	}
 }
 
@@ -175,10 +169,10 @@ func (s *Server) installSession(req *request) error {
 	defer s.mu.Unlock()
 	if _, ok := s.sessions[req.Session]; ok {
 		s.touchLocked(req.Session)
-		s.sessions[req.Session] = &session{est: est}
+		s.sessions[req.Session] = est
 		return nil
 	}
-	s.sessions[req.Session] = &session{est: est}
+	s.sessions[req.Session] = est
 	s.order = append(s.order, req.Session)
 	for len(s.sessions) > s.cfg.MaxSessions {
 		evict := s.order[0]
@@ -201,17 +195,15 @@ func (s *Server) touchLocked(key string) {
 
 func (s *Server) count(req *request) response {
 	s.mu.Lock()
-	sess := s.sessions[req.Session]
-	if sess != nil {
+	est := s.sessions[req.Session]
+	if est != nil {
 		s.touchLocked(req.Session)
 	}
 	s.mu.Unlock()
-	if sess == nil {
+	if est == nil {
 		return response{Err: errUnknownSession}
 	}
-	sess.mu.Lock()
-	results, err := sess.est.CountTrials(req.spec(), req.Lo, req.Hi, s.cfg.MaxProcs, s.cfg.Obs)
-	sess.mu.Unlock()
+	results, err := est.CountTrials(req.spec(), req.Lo, req.Hi, s.cfg.MaxProcs, s.cfg.Obs)
 	if err != nil {
 		return response{Err: err.Error()}
 	}

@@ -330,29 +330,11 @@ func Estimate(q *Query, d *Database, opts *Options) (float64, error) {
 // returned as a big.Float since it can reach 2^|D|. opts may be nil.
 func UniformReliability(q *Query, d *Database, opts *Options) (*big.Float, error) {
 	copts := opts.core()
-	db := d.h.DB()
-	if q.q.IsPath() && q.q.SelfJoinFree() && binaryOnly(db, q.q) {
-		c, err := core.PathEstimate(q.q, db, copts)
-		if err != nil {
-			return nil, err
-		}
-		return c.BigFloat(), nil
-	}
-	c, err := core.UREstimate(q.q, db, copts)
+	c, err := core.NewUREstimator(q.q, d.h.DB(), copts).UniformReliability(copts)
 	if err != nil {
 		return nil, err
 	}
 	return c.BigFloat(), nil
-}
-
-func binaryOnly(db *pdb.Database, q *cq.Query) bool {
-	rels := q.RelationSet()
-	for _, f := range db.Facts() {
-		if rels[f.Relation] && f.Arity() != 2 {
-			return false
-		}
-	}
-	return true
 }
 
 // ExactProbability computes Pr_H(Q) exactly with a Dalvi–Suciu safe

@@ -62,6 +62,21 @@ func (t *Telemetry) PhaseSeconds() map[string]float64 {
 	return t.phases.Seconds()
 }
 
+// BuildKind labels the session construction the evaluations carrying
+// this collector paid for: "full" when one of them built a stage from
+// scratch, "incremental" when one patched an ApplyDelta-maintained
+// automaton, "cached" when every stage came from the session. Only
+// builds these evaluations ran count — an evaluation that waited for a
+// concurrent one to finish building the same stage reads "cached" — so
+// service callers attach one collector per request. "cached" on a nil
+// collector.
+func (t *Telemetry) BuildKind() string {
+	if t == nil {
+		return "cached"
+	}
+	return t.phases.Build()
+}
+
 // CounterValue returns the current value of a registry counter (e.g.
 // "router_trials_saved_total"), 0 when absent or on a nil collector.
 func (t *Telemetry) CounterValue(name string) int64 {
