@@ -49,14 +49,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pqe/internal/dense"
 	"pqe/internal/efloat"
 	"pqe/internal/nfta"
 	"pqe/internal/obs"
+	"pqe/internal/prefix"
 	"pqe/internal/sched"
 	"pqe/internal/seqstop"
 )
@@ -439,14 +438,11 @@ type run struct {
 	unions  dense.Table // rows: multi-branch (state, symbol) slots
 	forests dense.Table // rows: tuple IDs
 
-	// Prefix-sum weight rows (prefix.go), flat arrays indexed
-	// row·(maxN+1)+size.
-	maxN      int
-	entryPfx  []atomic.Pointer[prefixRow]
-	branchPfx []atomic.Pointer[prefixRow]
-	splitPfx  []atomic.Pointer[prefixRow]
-	pfxMu     sync.Mutex
-	pfx       pfxArena
+	// Prefix-sum weight rows (prefix.go), indexed (row, size).
+	entryPfx  prefix.Grid
+	branchPfx prefix.Grid
+	splitPfx  prefix.Grid
+	pfx       prefix.Builder
 
 	unionSamples int
 	memoHits     int    // estimation-path memo-table hits (misses = keys)
@@ -469,10 +465,10 @@ func (r *run) reset() {
 	r.trees.Reset()
 	r.unions.Reset()
 	r.forests.Reset()
-	clear(r.entryPfx)
-	clear(r.branchPfx)
-	clear(r.splitPfx)
-	r.pfx.reset()
+	r.entryPfx.Clear()
+	r.branchPfx.Clear()
+	r.splitPfx.Clear()
+	r.pfx.Reset()
 	r.unionSamples, r.memoHits, r.siteSeq = 0, 0, 0
 	r.ctx = nil
 	r.w, r.call, r.top = nil, nil, nil

@@ -137,7 +137,6 @@ func (pl *plan) getRun(opts Options, seed int64) *run {
 			trees:   dense.NewTable(len(pl.states)),
 			unions:  dense.NewTable(pl.slots),
 			forests: dense.NewTable(len(pl.tuples)),
-			maxN:    -1,
 		}
 	} else {
 		r.reset()

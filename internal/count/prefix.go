@@ -1,173 +1,62 @@
 package count
 
 import (
-	"sync/atomic"
-
 	"pqe/internal/efloat"
+	"pqe/internal/prefix"
 )
 
-// The samplers spend nearly all their time rebuilding the same weight
-// vectors: every draw at a given (state, size), (union slot, size) or
-// (tuple, size) recomputes the identical memo-table lookups and running
-// sums that the previous draw at that cell already computed. The run
-// therefore caches, per cell, the *prefix sums* of the weight vector:
-// pick becomes one binary search over a frozen row instead of a linear
-// rebuild, and the cached row is shared by every sampler of the trial.
-//
-// Bit-identity with the linear scan it replaces follows from two
-// properties of efloat: Add returns its other operand exactly when one
-// side is Zero (so the prefix sum at index i equals the scan's running
-// accumulator after weight i — zero weights change nothing), and
-// addition of non-negative values is monotone (so the prefix row is
-// non-decreasing and the minimal index with target < cum[i] is exactly
-// the index the scan stops at). The sampler draws the same single
-// uniform variate either way, so downstream draws are unaffected.
+// The samplers draw from prefix-sum weight rows (internal/prefix),
+// built on first use per cell and shared by every sampler of the trial.
+// The builders below only say what each row's weights are.
 
-// prefixRow is one frozen weight row: cum[i] is the sum of weights
-// 0..i, and last is the largest index with a nonzero weight (-1 when
-// all weights are zero), the scan's fallback when rounding pushes the
-// target past the end.
-type prefixRow struct {
-	cum  []efloat.E
-	last int
-}
-
-// pfxArena bump-allocates prefix rows in reusable chunks, so a pooled
-// run's next trial rebuilds its rows without heap allocation.
-type pfxArena struct {
-	rows  []prefixRow
-	rused int
-	vals  []efloat.E
-	vused int
-}
-
-func (ar *pfxArena) reset() { ar.rused, ar.vused = 0, 0 }
-
-func (ar *pfxArena) row(k int) *prefixRow {
-	if ar.rused == len(ar.rows) {
-		ar.rows = make([]prefixRow, max(64, 2*len(ar.rows)))
-		ar.rused = 0
-	}
-	p := &ar.rows[ar.rused]
-	ar.rused++
-	if ar.vused+k > len(ar.vals) {
-		ar.vals = make([]efloat.E, max(1024, 2*len(ar.vals)+k))
-		ar.vused = 0
-	}
-	p.cum = ar.vals[ar.vused : ar.vused+k : ar.vused+k]
-	ar.vused += k
-	p.last = -1
-	return p
-}
-
-// ensurePfx sizes the flat row-pointer arrays for sizes 0..n, carrying
-// cached rows over on growth (a Counter sweeping upward keeps its
-// cache). Called sequentially before estimation; the arrays themselves
-// are then read (and lazily filled) concurrently by samplers.
+// ensurePfx sizes the row grids for sizes 0..n, carrying cached rows
+// over on growth. Called sequentially before estimation; the grids are
+// then read (and lazily filled) concurrently by samplers.
 func (r *run) ensurePfx(n int) {
-	if n <= r.maxN {
-		return
-	}
-	r.entryPfx = regrowPfx(r.entryPfx, len(r.pl.states), r.maxN, n)
-	r.branchPfx = regrowPfx(r.branchPfx, r.pl.slots, r.maxN, n)
-	r.splitPfx = regrowPfx(r.splitPfx, len(r.pl.tuples), r.maxN, n)
-	r.maxN = n
+	r.entryPfx.Grow(len(r.pl.states), n)
+	r.branchPfx.Grow(r.pl.slots, n)
+	r.splitPfx.Grow(len(r.pl.tuples), n)
 }
 
-func regrowPfx(old []atomic.Pointer[prefixRow], rows, oldN, n int) []atomic.Pointer[prefixRow] {
-	grown := make([]atomic.Pointer[prefixRow], rows*(n+1))
-	for rr := 0; rr < rows && oldN >= 0; rr++ {
-		for c := 0; c <= oldN; c++ {
-			if p := old[rr*(oldN+1)+c].Load(); p != nil {
-				grown[rr*(n+1)+c].Store(p)
-			}
-		}
-	}
-	return grown
-}
-
-// entryRow returns (building on first use) the prefix row over state
-// q's symbol entries at size n: weight i is unionLookup(entries[i], n).
-// Rows are built under the run mutex with double-checked publication;
-// the atomic store/load pair orders the row contents for lock-free
-// readers.
-func (r *run) entryRow(q, n int) *prefixRow {
-	slot := &r.entryPfx[q*(r.maxN+1)+n]
-	if p := slot.Load(); p != nil {
-		return p
-	}
-	r.pfxMu.Lock()
-	defer r.pfxMu.Unlock()
-	if p := slot.Load(); p != nil {
+// entryRow returns the row over state q's symbol entries at size n:
+// weight i is unionLookup(entries[i], n).
+func (r *run) entryRow(q, n int) *prefix.Row {
+	if p := r.entryPfx.Load(q, n); p != nil {
 		return p
 	}
 	entries := r.pl.states[q]
-	p := r.pfx.row(len(entries))
-	acc := efloat.Zero
-	for i := range entries {
-		w := r.unionLookup(&entries[i], n)
-		if !w.IsZero() {
-			p.last = i
+	return r.pfx.Build(&r.entryPfx, q, n, len(entries), func(w []efloat.E) {
+		for i := range entries {
+			w[i] = r.unionLookup(&entries[i], n)
 		}
-		acc = acc.Add(w)
-		p.cum[i] = acc
-	}
-	slot.Store(p)
-	return p
+	})
 }
 
-// branchRow returns the prefix row over a multi-branch entry's
-// transition tuples at size n: weight j is forestLookup(tuples[j], n−1).
-func (r *run) branchRow(en *symTrans, n int) *prefixRow {
-	slot := &r.branchPfx[en.slot*(r.maxN+1)+n]
-	if p := slot.Load(); p != nil {
+// branchRow returns the row over a multi-branch entry's transition
+// tuples at size n: weight j is forestLookup(tuples[j], n−1).
+func (r *run) branchRow(en *symTrans, n int) *prefix.Row {
+	if p := r.branchPfx.Load(en.slot, n); p != nil {
 		return p
 	}
-	r.pfxMu.Lock()
-	defer r.pfxMu.Unlock()
-	if p := slot.Load(); p != nil {
-		return p
-	}
-	p := r.pfx.row(len(en.tuples))
-	acc := efloat.Zero
-	for j, tid := range en.tuples {
-		w := r.forestLookup(tid, n-1)
-		if !w.IsZero() {
-			p.last = j
+	return r.pfx.Build(&r.branchPfx, en.slot, n, len(en.tuples), func(w []efloat.E) {
+		for j, tid := range en.tuples {
+			w[j] = r.forestLookup(tid, n-1)
 		}
-		acc = acc.Add(w)
-		p.cum[j] = acc
-	}
-	slot.Store(p)
-	return p
+	})
 }
 
-// splitRow returns the prefix row over first-tree sizes for forest
-// tuple tid at total size m: weight j−1 (j = 1..maxHead) is
+// splitRow returns the row over first-tree sizes for forest tuple tid
+// at total size m: weight j−1 (j = 1..maxHead) is
 // treeLookup(tuple[0], j) · forestLookup(rest, m−j). maxHead is a
 // function of (tid, m), so the cell key determines the row length.
-func (r *run) splitRow(tid, m, maxHead int) *prefixRow {
-	slot := &r.splitPfx[tid*(r.maxN+1)+m]
-	if p := slot.Load(); p != nil {
+func (r *run) splitRow(tid, m, maxHead int) *prefix.Row {
+	if p := r.splitPfx.Load(tid, m); p != nil {
 		return p
 	}
-	r.pfxMu.Lock()
-	defer r.pfxMu.Unlock()
-	if p := slot.Load(); p != nil {
-		return p
-	}
-	tuple := r.pl.tuples[tid]
-	rest := r.pl.restID[tid]
-	p := r.pfx.row(maxHead)
-	acc := efloat.Zero
-	for j := 1; j <= maxHead; j++ {
-		w := r.treeLookup(tuple[0], j).Mul(r.forestLookup(rest, m-j))
-		if !w.IsZero() {
-			p.last = j - 1
+	return r.pfx.Build(&r.splitPfx, tid, m, maxHead, func(w []efloat.E) {
+		head, rest := r.pl.tuples[tid][0], r.pl.restID[tid]
+		for j := 1; j <= maxHead; j++ {
+			w[j-1] = r.treeLookup(head, j).Mul(r.forestLookup(rest, m-j))
 		}
-		acc = acc.Add(w)
-		p.cum[j-1] = acc
-	}
-	slot.Store(p)
-	return p
+	})
 }

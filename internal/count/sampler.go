@@ -2,7 +2,6 @@ package count
 
 import (
 	"pqe/internal/bitset"
-	"pqe/internal/efloat"
 	"pqe/internal/nfta"
 	"pqe/internal/splitmix"
 )
@@ -101,64 +100,6 @@ func (s *sampler) newForest(n int) []*nfta.Tree {
 	return make([]*nfta.Tree, n)
 }
 
-// pick returns an index with probability proportional to the weights,
-// or -1 if all are zero. It is the reference implementation that
-// pickRow's cached binary search must match draw-for-draw (pinned by
-// TestPickRowMatchesPick); the hot paths all go through pickRow.
-func (s *sampler) pick(weights []efloat.E) int {
-	total := efloat.Sum(weights...)
-	if total.IsZero() {
-		return -1
-	}
-	target := total.MulFloat(s.rng.Float64())
-	acc := efloat.Zero
-	last := -1
-	for i, w := range weights {
-		if w.IsZero() {
-			continue
-		}
-		last = i
-		acc = acc.Add(w)
-		if target.Less(acc) {
-			return i
-		}
-	}
-	return last
-}
-
-// pickRow is pick over a cached prefix row: one uniform variate, one
-// binary search for the leftmost index whose prefix sum exceeds the
-// target. Zero weights leave the prefix sum unchanged (efloat.Add
-// returns the other operand exactly when one side is Zero), so the
-// leftmost crossing index always carries nonzero weight and equals the
-// index the reference scan stops at; the row's last field reproduces
-// the scan's fallback when rounding pushes the target to the total.
-func (s *sampler) pickRow(p *prefixRow) int {
-	cum := p.cum
-	n := len(cum)
-	if n == 0 {
-		return -1
-	}
-	total := cum[n-1]
-	if total.IsZero() {
-		return -1
-	}
-	target := total.MulFloat(s.rng.Float64())
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if target.Less(cum[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo < n {
-		return lo
-	}
-	return p.last
-}
-
 // countFresh draws the overlap samples lo ≤ i < hi for union branch j
 // at size n and counts those landing outside all earlier branches. Each
 // sample runs on its own PRNG derived from (trial seed, site, i), so
@@ -190,7 +131,7 @@ func (s *sampler) sampleTree(q, n int) *nfta.Tree {
 		return nil
 	}
 	entries := r.pl.states[q]
-	i := s.pickRow(r.entryRow(q, n))
+	i := r.entryRow(q, n).Pick(&s.rng)
 	if i < 0 {
 		return nil
 	}
@@ -212,7 +153,7 @@ func (s *sampler) sampleTree(q, n int) *nfta.Tree {
 	// union.
 	var last *nfta.Tree
 	for retry := 0; retry < maxRetry; retry++ {
-		j := s.pickRow(brow)
+		j := brow.Pick(&s.rng)
 		if j < 0 {
 			break
 		}
@@ -279,7 +220,7 @@ func (s *sampler) sampleForestInto(tid, m int, out []*nfta.Tree) bool {
 		if maxHead < 1 {
 			return false
 		}
-		k := s.pickRow(r.splitRow(tid, m, maxHead))
+		k := r.splitRow(tid, m, maxHead).Pick(&s.rng)
 		if k < 0 {
 			return false
 		}

@@ -90,6 +90,10 @@ func FromBigRat(r *big.Rat) E {
 	return FromBigInt(r.Num()).Div(FromBigInt(r.Denom()))
 }
 
+// Parts returns x's mantissa in [1, 2) and its binary exponent, with
+// x = mant × 2^exp; Zero returns (0, 0).
+func (x E) Parts() (mant float64, exp int64) { return x.mant, x.exp }
+
 // Pow2 returns 2^k as an E, for any k (including negative).
 func Pow2(k int64) E { return E{mant: 1, exp: k} }
 

@@ -5,14 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pqe/internal/bitset"
 	"pqe/internal/dense"
 	"pqe/internal/efloat"
 	"pqe/internal/obs"
+	"pqe/internal/prefix"
 	"pqe/internal/sched"
 	"pqe/internal/seqstop"
 )
@@ -376,12 +375,10 @@ type wordRun struct {
 	words  dense.Table // rows: states; |L(q, l)| estimates
 	unions dense.Table // rows: interned target sets; |∪ L(q', l)|
 
-	// Prefix-sum weight rows, flat arrays indexed row·(maxN+1)+length.
-	maxN      int
-	entryPfx  []atomic.Pointer[prefixRow]
-	targetPfx []atomic.Pointer[prefixRow]
-	pfxMu     sync.Mutex
-	pfx       pfxArena
+	// Prefix-sum weight rows (prefix.go), indexed (row, length).
+	entryPfx  prefix.Grid
+	targetPfx prefix.Grid
+	pfx       prefix.Builder
 
 	unionSamples int
 	memoHits     int // estimation-path memo-table hits (misses = keys)
@@ -402,9 +399,9 @@ type wordRun struct {
 func (r *wordRun) reset() {
 	r.words.Reset()
 	r.unions.Reset()
-	clear(r.entryPfx)
-	clear(r.targetPfx)
-	r.pfx.reset()
+	r.entryPfx.Clear()
+	r.targetPfx.Clear()
+	r.pfx.Reset()
 	r.unionSamples, r.memoHits = 0, 0
 	r.ctx = nil
 	r.w, r.call, r.top = nil, nil, nil

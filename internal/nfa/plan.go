@@ -58,7 +58,6 @@ func (pl *wordPlan) getRun(opts CountOptions, seed int64) *wordRun {
 			finals: pl.m.final,
 			words:  dense.NewTable(pl.m.numStates),
 			unions: dense.NewTable(len(pl.ix.sets)),
-			maxN:   -1,
 		}
 	} else {
 		r.reset()

@@ -5,9 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"pqe/internal/efloat"
 	"pqe/internal/obs"
-	"pqe/internal/splitmix"
 )
 
 // Plan caching contract: the first call on an automaton builds the
@@ -94,101 +92,6 @@ func TestCountDeterministicAcrossMaxProcs(t *testing.T) {
 		got := Count(m, n, CountOptions{Epsilon: 0.2, Trials: 3, Seed: 11, MaxProcs: 3, Workers: 5, Parallel: true})
 		if got.Cmp(base) != 0 {
 			t.Fatalf("trial %d: mixed MaxProcs/Workers gave %v, want %v", trial, got, base)
-		}
-	}
-}
-
-// rowFromWeights builds a prefix row exactly the way prefix.go does.
-func rowFromWeights(ws []efloat.E) *prefixRow {
-	p := &prefixRow{cum: make([]efloat.E, len(ws)), last: -1}
-	acc := efloat.Zero
-	for i, w := range ws {
-		if !w.IsZero() {
-			p.last = i
-		}
-		acc = acc.Add(w)
-		p.cum[i] = acc
-	}
-	return p
-}
-
-// pickRow must match the reference linear scan draw-for-draw on the
-// same RNG stream: same index, same single variate consumed.
-func TestPickRowMatchesPick(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	for trial := 0; trial < 500; trial++ {
-		k := 1 + rng.Intn(8)
-		ws := make([]efloat.E, k)
-		for i := range ws {
-			switch rng.Intn(3) {
-			case 0: // zero weight
-			case 1:
-				ws[i] = efloat.FromInt(1 + rng.Int63n(1000))
-			default:
-				ws[i] = efloat.Pow2(int64(rng.Intn(400) - 200)).MulFloat(1 + rng.Float64())
-			}
-		}
-		row := rowFromWeights(ws)
-		seed := rng.Uint64()
-		s1 := &sampler{rng: splitmix.New(seed)}
-		s2 := &sampler{rng: splitmix.New(seed)}
-		for draw := 0; draw < 4; draw++ {
-			a, b := s1.pick(ws), s2.pickRow(row)
-			if a != b {
-				t.Fatalf("trial %d draw %d: pick=%d pickRow=%d weights=%v", trial, draw, a, b, ws)
-			}
-			if s1.rng.Uint64() != s2.rng.Uint64() {
-				t.Fatalf("trial %d draw %d: streams diverged", trial, draw)
-			}
-		}
-	}
-}
-
-func TestPickEdgeCases(t *testing.T) {
-	zero4 := make([]efloat.E, 4)
-	s := &sampler{rng: splitmix.New(1)}
-	if got := s.pick(zero4); got != -1 {
-		t.Errorf("pick(all zero) = %d, want -1", got)
-	}
-	if got := s.pickRow(rowFromWeights(zero4)); got != -1 {
-		t.Errorf("pickRow(all zero) = %d, want -1", got)
-	}
-	if got := s.pickRow(&prefixRow{}); got != -1 {
-		t.Errorf("pickRow(empty) = %d, want -1", got)
-	}
-	// All-zero rows must not consume a variate.
-	fresh := splitmix.New(9)
-	s.rng = splitmix.New(9)
-	s.pick(zero4)
-	s.pickRow(rowFromWeights(zero4))
-	if s.rng.Uint64() != fresh.Uint64() {
-		t.Error("zero-total pick consumed a variate")
-	}
-
-	// A single nonzero tail weight must always be chosen.
-	tail := []efloat.E{efloat.Zero, efloat.Zero, efloat.One}
-	row := rowFromWeights(tail)
-	if row.last != 2 {
-		t.Fatalf("last = %d, want 2", row.last)
-	}
-	for seed := uint64(0); seed < 50; seed++ {
-		s.rng = splitmix.New(seed)
-		if got := s.pick(tail); got != 2 {
-			t.Fatalf("seed %d: pick(tail) = %d, want 2", seed, got)
-		}
-		s.rng = splitmix.New(seed)
-		if got := s.pickRow(row); got != 2 {
-			t.Fatalf("seed %d: pickRow(tail) = %d, want 2", seed, got)
-		}
-	}
-
-	// Trailing zero weights: never land past the last nonzero weight.
-	trail := []efloat.E{efloat.One, efloat.FromInt(3), efloat.Zero, efloat.Zero}
-	row = rowFromWeights(trail)
-	for seed := uint64(0); seed < 50; seed++ {
-		s.rng = splitmix.New(seed)
-		if got := s.pickRow(row); got > row.last {
-			t.Fatalf("seed %d: pickRow returned %d past last=%d", seed, got, row.last)
 		}
 	}
 }

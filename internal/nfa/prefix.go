@@ -1,139 +1,49 @@
 package nfa
 
 import (
-	"sync/atomic"
-
 	"pqe/internal/efloat"
+	"pqe/internal/prefix"
 )
 
-// Prefix-sum weight rows for the word samplers, mirroring
-// internal/count/prefix.go: every draw at a given (state, remaining
-// length) or (target set, length) cell recomputes the identical weight
-// vector and running sums, so the run caches the prefix sums per cell
-// and pick becomes one binary search over a frozen row. Bit-identity
-// with the linear scan follows from efloat.Add returning its other
-// operand exactly when one side is Zero (zero weights leave the prefix
-// sum unchanged) and from monotonicity of adding non-negative values;
-// the sampler draws the same single uniform variate either way.
+// The samplers draw from prefix-sum weight rows (internal/prefix),
+// built on first use per cell and shared by every sampler of the trial.
+// The builders below only say what each row's weights are.
 
-// prefixRow is one frozen weight row: cum[i] is the sum of weights
-// 0..i, and last is the largest index with a nonzero weight (-1 when
-// all weights are zero), the scan's fallback when rounding pushes the
-// target past the end.
-type prefixRow struct {
-	cum  []efloat.E
-	last int
-}
-
-// pfxArena bump-allocates prefix rows in reusable chunks, so a pooled
-// run's next trial rebuilds its rows without heap allocation.
-type pfxArena struct {
-	rows  []prefixRow
-	rused int
-	vals  []efloat.E
-	vused int
-}
-
-func (ar *pfxArena) reset() { ar.rused, ar.vused = 0, 0 }
-
-func (ar *pfxArena) row(k int) *prefixRow {
-	if ar.rused == len(ar.rows) {
-		ar.rows = make([]prefixRow, max(64, 2*len(ar.rows)))
-		ar.rused = 0
-	}
-	p := &ar.rows[ar.rused]
-	ar.rused++
-	if ar.vused+k > len(ar.vals) {
-		ar.vals = make([]efloat.E, max(1024, 2*len(ar.vals)+k))
-		ar.vused = 0
-	}
-	p.cum = ar.vals[ar.vused : ar.vused+k : ar.vused+k]
-	ar.vused += k
-	p.last = -1
-	return p
-}
-
-// ensurePfx sizes the flat row-pointer arrays for lengths 0..n,
-// carrying cached rows over on growth (a Counter sweeping upward keeps
-// its cache). Called sequentially before estimation; the arrays are
+// ensurePfx sizes the row grids for lengths 0..n, carrying cached rows
+// over on growth. Called sequentially before estimation; the grids are
 // then read (and lazily filled) concurrently by samplers.
 func (r *wordRun) ensurePfx(n int) {
-	if n <= r.maxN {
-		return
-	}
-	r.entryPfx = regrowPfx(r.entryPfx, r.pl.m.numStates, r.maxN, n)
-	r.targetPfx = regrowPfx(r.targetPfx, len(r.pl.ix.sets), r.maxN, n)
-	r.maxN = n
+	r.entryPfx.Grow(r.pl.m.numStates, n)
+	r.targetPfx.Grow(len(r.pl.ix.sets), n)
 }
 
-func regrowPfx(old []atomic.Pointer[prefixRow], rows, oldN, n int) []atomic.Pointer[prefixRow] {
-	grown := make([]atomic.Pointer[prefixRow], rows*(n+1))
-	for rr := 0; rr < rows && oldN >= 0; rr++ {
-		for c := 0; c <= oldN; c++ {
-			if p := old[rr*(oldN+1)+c].Load(); p != nil {
-				grown[rr*(n+1)+c].Store(p)
-			}
-		}
-	}
-	return grown
-}
-
-// entryRow returns (building on first use) the prefix row over state
-// q's symbol entries with rem letters remaining: weight i is
-// unionLookup(entries[i], rem−1). Rows are built under the run mutex
-// with double-checked publication; the atomic store/load pair orders
-// the row contents for lock-free readers.
-func (r *wordRun) entryRow(q, rem int) *prefixRow {
-	slot := &r.entryPfx[q*(r.maxN+1)+rem]
-	if p := slot.Load(); p != nil {
-		return p
-	}
-	r.pfxMu.Lock()
-	defer r.pfxMu.Unlock()
-	if p := slot.Load(); p != nil {
+// entryRow returns the row over state q's symbol entries with rem
+// letters remaining: weight i is unionLookup(entries[i], rem−1).
+func (r *wordRun) entryRow(q, rem int) *prefix.Row {
+	if p := r.entryPfx.Load(q, rem); p != nil {
 		return p
 	}
 	entries := r.pl.ix.states[q]
-	p := r.pfx.row(len(entries))
-	acc := efloat.Zero
-	for i := range entries {
-		w := r.unionLookup(&entries[i], rem-1)
-		if !w.IsZero() {
-			p.last = i
+	return r.pfx.Build(&r.entryPfx, q, rem, len(entries), func(w []efloat.E) {
+		for i := range entries {
+			w[i] = r.unionLookup(&entries[i], rem-1)
 		}
-		acc = acc.Add(w)
-		p.cum[i] = acc
-	}
-	slot.Store(p)
-	return p
+	})
 }
 
-// targetRow returns the prefix row over an interned target set's states
-// at suffix length l: weight j is wordLookup(sets[set][j], l). The
-// interned slice aliases the automaton's own target slice (and
-// m.initial for the top set), so the row order matches the sampler's
-// canonical branch order exactly.
-func (r *wordRun) targetRow(set, l int) *prefixRow {
-	slot := &r.targetPfx[set*(r.maxN+1)+l]
-	if p := slot.Load(); p != nil {
-		return p
-	}
-	r.pfxMu.Lock()
-	defer r.pfxMu.Unlock()
-	if p := slot.Load(); p != nil {
+// targetRow returns the row over an interned target set's states at
+// suffix length l: weight j is wordLookup(sets[set][j], l). The interned
+// slice aliases the automaton's own target slice (and m.initial for the
+// top set), so the row order matches the sampler's canonical branch
+// order exactly.
+func (r *wordRun) targetRow(set, l int) *prefix.Row {
+	if p := r.targetPfx.Load(set, l); p != nil {
 		return p
 	}
 	targets := r.pl.ix.sets[set]
-	p := r.pfx.row(len(targets))
-	acc := efloat.Zero
-	for j, t := range targets {
-		w := r.wordLookup(t, l)
-		if !w.IsZero() {
-			p.last = j
+	return r.pfx.Build(&r.targetPfx, set, l, len(targets), func(w []efloat.E) {
+		for j, t := range targets {
+			w[j] = r.wordLookup(t, l)
 		}
-		acc = acc.Add(w)
-		p.cum[j] = acc
-	}
-	slot.Store(p)
-	return p
+	})
 }

@@ -1,20 +1,17 @@
 package nfa
 
 import (
-	"math/bits"
-
-	"pqe/internal/bitset"
-	"pqe/internal/efloat"
+	"pqe/internal/prefix"
 	"pqe/internal/splitmix"
 )
 
 // sampler is a sampling session over a frozen run: it draws words
 // reading the memo tables and the plan's dense index but never writing
 // them, so any number of samplers may run concurrently over one run.
-// All scratch state (subset-simulation bitsets, word buffer, rejection
-// counter) lives here; the scheduler binds one sampler per worker,
-// rebinding it to the chunk's run at every chunk boundary (bind), so a
-// sampler serves many trials within a call.
+// All scratch state (subset-simulation frontiers, word buffer,
+// rejection counter) lives here; the scheduler binds one sampler per
+// worker, rebinding it to the chunk's run at every chunk boundary
+// (bind), so a sampler serves many trials within a call.
 //
 // The invariant the read-only lookups rely on: a sampler is only ever
 // asked for (state, length) pairs whose estimates were computed — the
@@ -22,10 +19,15 @@ import (
 // its sampling consults (all strictly smaller lengths), and the
 // top-level APIs run topLevel before sampling.
 type sampler struct {
-	r          *wordRun
-	rng        splitmix.Stream
-	cur, next  bitset.Set // subset-simulation scratch for acceptsSet
-	wordBuf    []int      // transient word for overlap testing
+	r   *wordRun
+	rng splitmix.Stream
+	// Subset-simulation scratch for acceptsSet: the current and next
+	// state sets as lists, deduplicated by stamping mark[q] with the
+	// step's generation gen.
+	cur, next  []int32
+	mark       []uint32
+	gen        uint32
+	wordBuf    []int // transient word for overlap testing
 	rejections int
 	// acceptChecks counts subset-simulation membership tests (one per
 	// acceptsSet call), summed per call like rejections.
@@ -33,74 +35,13 @@ type sampler struct {
 }
 
 func newSampler(pl *wordPlan) *sampler {
-	return &sampler{
-		cur:  bitset.New(pl.m.numStates),
-		next: bitset.New(pl.m.numStates),
-	}
+	return &sampler{mark: make([]uint32, pl.m.numStates)}
 }
 
-// bind points the sampler at a run. Samplers are plan-scoped (the
-// bitsets are sized to the automaton), so binding only swaps the memo
-// tables it reads.
+// bind points the sampler at a run. Samplers are plan-scoped (mark is
+// sized to the automaton), so binding only swaps the memo tables it
+// reads.
 func (s *sampler) bind(r *wordRun) { s.r = r }
-
-// pick returns an index with probability proportional to the weights,
-// or -1 if all are zero. It is the reference implementation that
-// pickRow's cached binary search must match draw-for-draw (pinned by
-// TestPickRowMatchesPick); the hot paths all go through pickRow.
-func (s *sampler) pick(weights []efloat.E) int {
-	total := efloat.Sum(weights...)
-	if total.IsZero() {
-		return -1
-	}
-	target := total.MulFloat(s.rng.Float64())
-	acc := efloat.Zero
-	last := -1
-	for i, w := range weights {
-		if w.IsZero() {
-			continue
-		}
-		last = i
-		acc = acc.Add(w)
-		if target.Less(acc) {
-			return i
-		}
-	}
-	return last
-}
-
-// pickRow is pick over a cached prefix row: one uniform variate, one
-// binary search for the leftmost index whose prefix sum exceeds the
-// target. Zero weights leave the prefix sum unchanged (efloat.Add
-// returns the other operand exactly when one side is Zero), so the
-// leftmost crossing index always carries nonzero weight and equals the
-// index the reference scan stops at; the row's last field reproduces
-// the scan's fallback when rounding pushes the target to the total.
-func (s *sampler) pickRow(p *prefixRow) int {
-	cum := p.cum
-	n := len(cum)
-	if n == 0 {
-		return -1
-	}
-	total := cum[n-1]
-	if total.IsZero() {
-		return -1
-	}
-	target := total.MulFloat(s.rng.Float64())
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if target.Less(cum[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo < n {
-		return lo
-	}
-	return p.last
-}
 
 // countFresh draws the overlap samples lo ≤ i < hi for union branch j
 // at length l and counts those landing outside all earlier branches.
@@ -127,86 +68,112 @@ func (s *sampler) countFresh(targets []int, j, l int, site uint64, lo, hi int) i
 
 // sampleFrom fills out[pos:] with a near-uniform word from
 // L(q, len(out)−pos), reporting false if the language is (estimated)
-// empty. The word is built in place: the leading symbol is drawn
-// proportional to the per-symbol estimates (exactly correct, the
-// per-symbol languages are disjoint), and the branch inside a
-// non-deterministic target set by canonical-first rejection — a draw
-// from branch j is kept only if no earlier branch accepts its suffix,
-// which makes the draw uniform over the union.
+// empty. The word is built in place, one letter per step: the letter is
+// drawn proportional to the per-symbol estimates (exactly correct, the
+// per-symbol languages are disjoint), and a single-target step moves on
+// to its target. Only a non-deterministic step recurses, drawing the
+// rest of the word from the union of its targets' languages.
 func (s *sampler) sampleFrom(q, pos int, out []int) bool {
 	r := s.r
-	rem := len(out) - pos
-	if rem == 0 {
-		return r.finals.Has(q)
+	for ; pos < len(out); pos++ {
+		rem := len(out) - pos
+		i := r.entryRow(q, rem).Pick(&s.rng)
+		if i < 0 {
+			return false
+		}
+		en := &r.pl.ix.states[q][i]
+		out[pos] = en.sym
+		if len(en.targets) > 1 {
+			maxRetry := r.maxRetry
+			if maxRetry <= 0 {
+				maxRetry = 32 * len(en.targets)
+			}
+			return s.sampleUnion(en.targets, r.targetRow(en.set, rem-1), maxRetry, pos+1, out)
+		}
+		q = en.targets[0]
 	}
-	entries := r.pl.ix.states[q]
-	i := s.pickRow(r.entryRow(q, rem))
-	if i < 0 {
-		return false
-	}
-	en := &entries[i]
-	out[pos] = en.sym
-	targets := en.targets
-	if len(targets) == 1 {
-		return s.sampleFrom(targets[0], pos+1, out)
-	}
-	trow := r.targetRow(en.set, rem-1)
-	maxRetry := r.maxRetry
-	if maxRetry <= 0 {
-		maxRetry = 32 * len(targets)
-	}
+	return r.finals.Has(q)
+}
+
+// sampleUnion fills out[pos:] with a near-uniform word from the union
+// of the targets' languages, trow being the targets' prefix row at that
+// length, by canonical-first rejection: a draw from branch j is kept
+// only if no earlier branch accepts it, which makes the draw uniform
+// over the union. When maxRetry draws are all rejected it keeps the
+// latest complete one (slightly biased towards multiply-covered words;
+// the budget makes this path rare).
+func (s *sampler) sampleUnion(targets []int, trow *prefix.Row, maxRetry, pos int, out []int) bool {
 	have := false
 	for retry := 0; retry < maxRetry; retry++ {
-		j := s.pickRow(trow)
+		j := trow.Pick(&s.rng)
 		if j < 0 {
 			break
 		}
-		if !s.sampleFrom(targets[j], pos+1, out) {
+		if !s.sampleFrom(targets[j], pos, out) {
 			continue
 		}
 		have = true
-		if j == 0 || !s.acceptsSet(targets[:j], out[pos+1:]) {
+		if j == 0 || !s.acceptsSet(targets[:j], out[pos:]) {
 			return true
 		}
 		s.rejections++
 	}
-	// Retry budget exhausted: keep the latest complete draw (slightly
-	// biased towards multiply-covered words; the budget makes this path
-	// rare).
 	return have
 }
 
 // acceptsSet reports whether any state in the set accepts the word, by
-// subset simulation over the dense index: two pooled bitsets hold the
-// current and next state sets, and the final check is one word-wise
-// intersection with the finals bitset.
+// sparse subset simulation over the dense index: the current and next
+// frontiers are state lists, a state joins the next frontier the first
+// time a step reaches it (mark[q] == gen), and the run ends with one
+// scan of the final frontier against the finals. A step costs the
+// frontier's transitions, not the automaton's width.
 func (s *sampler) acceptsSet(states []int, word []int) bool {
 	s.acceptChecks++
 	ix := s.r.pl.ix
-	cur, next := s.cur, s.next
-	cur.Clear()
+	mark := s.mark
+	gen := s.nextGen()
+	cur := s.cur[:0]
 	for _, q := range states {
-		cur.Add(q)
+		if mark[q] != gen {
+			mark[q] = gen
+			cur = append(cur, int32(q))
+		}
 	}
+	next := s.next[:0]
 	for _, a := range word {
-		next.Clear()
-		any := false
-		for w, bw := range cur {
-			for bw != 0 {
-				q := w*64 + bits.TrailingZeros64(bw)
-				bw &= bw - 1
-				for _, r := range ix.targetsOf(q, a) {
-					next.Add(r)
-					any = true
+		gen = s.nextGen()
+		next = next[:0]
+		for _, q := range cur {
+			for _, t := range ix.targetsOf(int(q), a) {
+				if mark[t] != gen {
+					mark[t] = gen
+					next = append(next, int32(t))
 				}
 			}
 		}
 		cur, next = next, cur
-		if !any {
-			return false
+		if len(cur) == 0 {
+			break
 		}
 	}
-	return cur.Intersects(s.r.finals)
+	s.cur, s.next = cur, next
+	for _, q := range cur {
+		if s.r.finals.Has(int(q)) {
+			return true
+		}
+	}
+	return false
+}
+
+// nextGen advances the frontier generation. On wrap-around every stamp
+// is cleared, so no stale mark can equal a reissued generation.
+func (s *sampler) nextGen() uint32 {
+	s.gen++
+	if s.gen == 0 {
+		clear(s.mark)
+		s.gen = 1
+	}
+	return s.gen
 }
 
 // sampleTop draws a near-uniform word of length n from L_n(M) into a
@@ -227,24 +194,7 @@ func (s *sampler) sampleTop(n int) []int {
 		}
 		return out
 	}
-	trow := r.targetRow(r.pl.ix.topSet, n)
-	maxRetry := 32 * (len(targets) + 1)
-	have := false
-	for retry := 0; retry < maxRetry; retry++ {
-		j := s.pickRow(trow)
-		if j < 0 {
-			break
-		}
-		if !s.sampleFrom(targets[j], 0, out) {
-			continue
-		}
-		have = true
-		if j == 0 || !s.acceptsSet(targets[:j], out) {
-			return out
-		}
-		s.rejections++
-	}
-	if !have {
+	if !s.sampleUnion(targets, r.targetRow(r.pl.ix.topSet, n), 32*(len(targets)+1), 0, out) {
 		return nil
 	}
 	return out

@@ -302,6 +302,35 @@ type errorResponse struct {
 // below it, and it keeps one oversized upload from pinning memory.
 const maxBodyBytes = 1 << 20
 
+// Bounds on the untrusted schedule options. Fixed caps, not knobs, in
+// the spirit of maxBodyBytes: every legitimate request sits well inside
+// them, and they keep one request from asking for an unbounded counting
+// schedule (the FPRAS sample count grows as 1/ε², trials and width
+// multiply the work).
+const (
+	maxTrials   = 1000
+	minEpsilon  = 0.01
+	maxMaxWidth = 16
+)
+
+// checkSchedule rejects options outside the bounds: trials in
+// [0, maxTrials], ε either 0 (the default) or in [minEpsilon, 1), δ
+// either 0 (the default) or in (0, 1), and max_width in
+// [0, maxMaxWidth].
+func checkSchedule(o estimateOptions) error {
+	switch {
+	case o.Trials < 0 || o.Trials > maxTrials:
+		return fmt.Errorf("trials %d outside [0, %d]", o.Trials, maxTrials)
+	case o.Epsilon != 0 && !(o.Epsilon >= minEpsilon && o.Epsilon < 1):
+		return fmt.Errorf("epsilon %v: want 0 (default) or a value in [%v, 1)", o.Epsilon, minEpsilon)
+	case o.Delta != 0 && !(o.Delta > 0 && o.Delta < 1):
+		return fmt.Errorf("delta %v: want 0 (default) or a value in (0, 1)", o.Delta)
+	case o.MaxWidth < 0 || o.MaxWidth > maxMaxWidth:
+		return fmt.Errorf("max_width %d outside [0, %d]", o.MaxWidth, maxMaxWidth)
+	}
+	return nil
+}
+
 // decodeBody decodes a JSON request body of at most maxBodyBytes into
 // v. On failure it returns the response status: 413 for an oversized
 // body, 400 for a malformed one.
@@ -366,6 +395,10 @@ func (s *Server) admit(tk *track, r *http.Request) *call {
 	case "", "probability", "estimate", "ur":
 	default:
 		tk.fail(http.StatusBadRequest, "unknown mode %q", req.Options.Mode)
+		return nil
+	}
+	if err := checkSchedule(req.Options); err != nil {
+		tk.fail(http.StatusBadRequest, "%v", err)
 		return nil
 	}
 

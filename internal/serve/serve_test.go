@@ -402,6 +402,48 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestScheduleBounds: trials, epsilon, delta and max_width outside
+// their fixed bounds get a typed 400; the edge values inside them are
+// served. The accepted cases use a single-atom query, which the router
+// answers by the exact safe plan, so the extreme schedules cost nothing.
+func TestScheduleBounds(t *testing.T) {
+	_, ts := newTestServer(t, Config{Budget: 2}, 4)
+	body := func(opts string) string {
+		return `{"query":"R1(x,y)","options":{"strategy":"auto",` + opts + `}}`
+	}
+	for _, tc := range []struct {
+		name, opts string
+		want       int
+	}{
+		{"defaults", `"seed":1`, http.StatusOK},
+		{"edges-high", `"trials":1000,"epsilon":0.999,"delta":0.999,"max_width":16`, http.StatusOK},
+		{"edges-low", `"trials":0,"epsilon":0.01,"delta":1e-9,"max_width":0`, http.StatusOK},
+		{"trials-over", `"trials":1001`, http.StatusBadRequest},
+		{"trials-negative", `"trials":-1`, http.StatusBadRequest},
+		{"epsilon-one", `"epsilon":1`, http.StatusBadRequest},
+		{"epsilon-below", `"epsilon":0.009`, http.StatusBadRequest},
+		{"epsilon-negative", `"epsilon":-0.1`, http.StatusBadRequest},
+		{"delta-one", `"delta":1`, http.StatusBadRequest},
+		{"delta-negative", `"delta":-0.5`, http.StatusBadRequest},
+		{"max-width-over", `"max_width":17`, http.StatusBadRequest},
+		{"max-width-negative", `"max_width":-1`, http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, data := post(t, ts.URL+"/v1/estimate", body(tc.opts))
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d (%s), want %d", resp.StatusCode, data, tc.want)
+			}
+			if tc.want == http.StatusOK {
+				return
+			}
+			var e errorResponse
+			if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
+				t.Errorf("error body %q is not a typed error response (%v)", data, err)
+			}
+		})
+	}
+}
+
 // TestMetricsEndpoint: the combined exposition carries both the
 // service's pqed_* families and the engines' families.
 func TestMetricsEndpoint(t *testing.T) {
