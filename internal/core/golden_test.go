@@ -6,6 +6,7 @@ import (
 
 	"pqe/internal/cq"
 	"pqe/internal/gen"
+	"pqe/internal/obs"
 	"pqe/internal/pdb"
 )
 
@@ -63,6 +64,48 @@ func TestGoldenRoutedEstimates(t *testing.T) {
 				if got := math.Float64bits(res.Probability); got != want[seed-1][pi] {
 					t.Errorf("%s seed %d MaxProcs %d: bits %#x (%v), want %#x (%v)", sh.name, seed, procs,
 						got, res.Probability, want[seed-1][pi], math.Float64frombits(want[seed-1][pi]))
+				}
+			}
+		}
+	}
+}
+
+// goldenCounters is one routed call's path-NFA engine effort, read from
+// the countnfa_*_total registry counters.
+type goldenCounters struct {
+	unionSamples, acceptChecks, rejections, wordKeys, unionKeys, memoHits int64
+}
+
+// goldenEngineCounters pins the countnfa_* totals of the three path
+// shapes per seed; every MaxProcs must reproduce them. The estimate
+// bits alone cannot tell "same draws, same checks" from a kernel that
+// reaches the same answer by different work, so these literals pin the
+// number of words drawn, membership tests run and rejections taken.
+var goldenEngineCounters = map[string][4]goldenCounters{
+	"path3-half":     {{37800, 78968, 25014, 900, 21, 819}, {37800, 79057, 25114, 900, 21, 819}, {37800, 79617, 25489, 900, 21, 819}, {37800, 79679, 25700, 900, 21, 819}},
+	"path3-rational": {{115200, 175860, 33666, 4833, 72, 2781}, {115200, 175788, 33914, 4833, 72, 2781}, {115200, 176025, 33796, 4833, 72, 2781}, {115200, 175437, 33486, 4833, 72, 2781}},
+	"path3-churn":    {{1560, 2943, 674, 3800, 23, 3721}, {1560, 3075, 827, 3800, 23, 3721}, {1560, 3068, 775, 3800, 23, 3721}, {1560, 3154, 840, 3800, 23, 3721}},
+}
+
+func TestGoldenEngineCounters(t *testing.T) {
+	for _, sh := range goldenShapes() {
+		want, ok := goldenEngineCounters[sh.name]
+		if !ok {
+			continue // routed to the tree engine
+		}
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, procs := range []int{1, 4} {
+				reg := obs.NewRegistry()
+				if _, err := Evaluate(sh.q, sh.h, Options{
+					Epsilon: sh.eps, Trials: sh.trials, Seed: seed, MaxProcs: procs, Strategy: "auto",
+					Obs: obs.NewScope(nil, reg, nil),
+				}); err != nil {
+					t.Fatalf("%s seed %d MaxProcs %d: %v", sh.name, seed, procs, err)
+				}
+				c := func(name string) int64 { return reg.Counter("countnfa_" + name + "_total").Value() }
+				got := goldenCounters{c("union_samples"), c("accept_checks"), c("rejections"), c("word_keys"), c("union_keys"), c("memo_hits")}
+				if got != want[seed-1] {
+					t.Errorf("%s seed %d MaxProcs %d: counters %+v, want %+v", sh.name, seed, procs, got, want[seed-1])
 				}
 			}
 		}

@@ -76,7 +76,57 @@ func BenchmarkAcceptsSet(b *testing.B) {
 	}
 }
 
+// BenchmarkAcceptsBatch times the batched acceptance kernel on the
+// same sampled weighted path3 inputs as BenchmarkAcceptsSet, in groups
+// of 64: each of that benchmark's (frontier, suffix) calls becomes one
+// group that tests the suffix at the same position of 64 sampled words
+// (the call's own word among them) from the call's frontier. An op is
+// one group; ns/word divides it by the 64 words, to set beside
+// BenchmarkAcceptsSet's ns/op.
+func BenchmarkAcceptsBatch(b *testing.B) {
+	red := weightedPath3(b)
+	m := red.Auto
+	var ws [][]int
+	for seed := int64(1); seed <= 64; seed++ {
+		w := nfa.SampleWord(m, red.WordSize, nfa.CountOptions{Epsilon: 0.5, Seed: seed})
+		if w == nil {
+			b.Fatal("empty language")
+		}
+		ws = append(ws, w)
+	}
+	type group struct {
+		states, words []int
+		l             int
+	}
+	var groups []group
+	suffixes := func(states []int, from int) group {
+		g := group{states: states, l: len(ws[0]) - from}
+		for _, w := range ws {
+			g.words = append(g.words, w[from:]...)
+		}
+		return g
+	}
+	for _, w := range ws[:8] {
+		front := m.Initial()
+		for p := 0; p < len(w) && len(front) > 0; p++ {
+			groups = append(groups, suffixes(front, p))
+			if p+1 < len(w) {
+				groups = append(groups, suffixes(front, p+1))
+			}
+			front = m.Step(front, w[p])
+		}
+	}
+	accepts := nfa.AcceptsBatch(m)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := groups[i%len(groups)]
+		batchSink = accepts(g.states, g.words, g.l, ^uint64(0))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(64*b.N), "ns/word")
+}
+
 var (
 	benchSink  efloat.E
 	acceptSink bool
+	batchSink  uint64
 )

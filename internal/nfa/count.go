@@ -523,9 +523,14 @@ func (r *wordRun) countFresh(targets []int, j, l int, site uint64) int {
 	return r.w.Sum(r.samples, func(w *sched.Worker, lo, hi int) int {
 		s := call.sampler(w.ID())
 		s.bind(r)
-		return s.countFresh(targets, j, l, site, lo, hi)
+		return freshKernel(s, targets, j, l, site, lo, hi)
 	})
 }
+
+// freshKernel is the per-chunk overlap-sampling kernel countFresh runs.
+// It is a variable only so the kernel tests can run Count on a
+// per-sample reference loop and compare the bits.
+var freshKernel = (*sampler).countFresh
 
 // SampleWord draws one near-uniform word of length n from L_n(M), or
 // nil if the language is empty. This mirrors the uniform-generation

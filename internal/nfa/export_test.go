@@ -15,3 +15,11 @@ func acceptsKernel(m *NFA) *sampler {
 	s.bind(pl.getRun(CountOptions{}, 0))
 	return s
 }
+
+// AcceptsBatch exposes the sampler's batched acceptance kernel to the
+// external benchmarks: the returned function reports, as a mask over
+// the words whose valid bit is set, which words of length l (stored
+// word-major in words) some state accepts.
+func AcceptsBatch(m *NFA) func(states, words []int, l int, valid uint64) uint64 {
+	return acceptsKernel(m).acceptsBatch
+}

@@ -302,6 +302,9 @@ type denseIndex struct {
 	states [][]ixEntry
 	sets   [][]int // interned target sets with ≥ 2 elements
 	topSet int     // interned initial set, -1 when |I| ≤ 1
+	// numSyms bounds the symbols the entries read: every entry's sym is
+	// below it.
+	numSyms int
 	// Reverse CSR: the sources of transitions into q are
 	// inFrom[inStart[q]:inStart[q+1]] (one entry per transition tuple).
 	inStart []int32
@@ -351,6 +354,7 @@ func (m *NFA) index() *denseIndex {
 				set = intern(targets)
 			}
 			entries = append(entries, ixEntry{sym: a, targets: targets, set: set})
+			idx.numSyms = max(idx.numSyms, a+1)
 			for _, r := range targets {
 				counts[r+1]++
 			}

@@ -1,6 +1,8 @@
 package nfa
 
 import (
+	"math/bits"
+
 	"pqe/internal/prefix"
 	"pqe/internal/splitmix"
 )
@@ -8,10 +10,10 @@ import (
 // sampler is a sampling session over a frozen run: it draws words
 // reading the memo tables and the plan's dense index but never writing
 // them, so any number of samplers may run concurrently over one run.
-// All scratch state (subset-simulation frontiers, word buffer,
-// rejection counter) lives here; the scheduler binds one sampler per
-// worker, rebinding it to the chunk's run at every chunk boundary
-// (bind), so a sampler serves many trials within a call.
+// All scratch state (subset-simulation frontiers and masks, the overlap
+// word batch, rejection counter) lives here; the scheduler binds one
+// sampler per worker, rebinding it to the chunk's run at every chunk
+// boundary (bind), so a sampler serves many trials within a call.
 //
 // The invariant the read-only lookups rely on: a sampler is only ever
 // asked for (state, length) pairs whose estimates were computed — the
@@ -23,45 +25,64 @@ type sampler struct {
 	rng splitmix.Stream
 	// Subset-simulation scratch for acceptsSet: the current and next
 	// state sets as lists, deduplicated by stamping mark[q] with the
-	// step's generation gen.
-	cur, next  []int32
-	mark       []uint32
-	gen        uint32
-	wordBuf    []int // transient word for overlap testing
-	rejections int
+	// step's generation gen. acceptsBatch reuses the lists.
+	cur, next []int32
+	mark      []uint32
+	gen       uint32
+	// Batch scratch for acceptsBatch: per-state word masks of the
+	// current and next frontiers and per-symbol letter masks, all zero
+	// between calls, and the batch's words, word-major.
+	curMask, nextMask, symMask []uint64
+	words                      []int
+	rejections                 int
 	// acceptChecks counts subset-simulation membership tests (one per
-	// acceptsSet call), summed per call like rejections.
+	// word tested), summed per call like rejections.
 	acceptChecks int
 }
 
 func newSampler(pl *wordPlan) *sampler {
-	return &sampler{mark: make([]uint32, pl.m.numStates)}
+	n := pl.m.numStates
+	return &sampler{
+		mark:     make([]uint32, n),
+		curMask:  make([]uint64, n),
+		nextMask: make([]uint64, n),
+		symMask:  make([]uint64, pl.ix.numSyms),
+	}
 }
 
-// bind points the sampler at a run. Samplers are plan-scoped (mark is
-// sized to the automaton), so binding only swaps the memo tables it
-// reads.
+// bind points the sampler at a run. Samplers are plan-scoped (mark and
+// the masks are sized to the automaton), so binding only swaps the
+// memo tables it reads.
 func (s *sampler) bind(r *wordRun) { s.r = r }
+
+// batchWords is the number of overlap samples acceptsBatch tests in one
+// subset simulation: one bit of a machine word each.
+const batchWords = 64
 
 // countFresh draws the overlap samples lo ≤ i < hi for union branch j
 // at length l and counts those landing outside all earlier branches.
 // Each sample runs on its own PRNG derived from (trial seed, site, i),
 // so the count is independent of how samples are partitioned across
-// workers and chunks.
+// workers and chunks. Samples are drawn in groups of batchWords and each
+// group's membership tests share one subset simulation; the grouping
+// changes no word's answer.
 func (s *sampler) countFresh(targets []int, j, l int, site uint64, lo, hi int) int {
-	if cap(s.wordBuf) < l {
-		s.wordBuf = make([]int, l)
+	if cap(s.words) < batchWords*l {
+		s.words = make([]int, batchWords*l)
 	}
-	buf := s.wordBuf[:l]
 	fresh := 0
-	for i := lo; i < hi; i++ {
-		s.rng = splitmix.Derive(s.r.seed, site, i)
-		if !s.sampleFrom(targets[j], 0, buf) {
-			continue
+	for base := lo; base < hi; base += batchWords {
+		k := min(batchWords, hi-base)
+		words := s.words[:k*l]
+		var valid uint64
+		for b := 0; b < k; b++ {
+			s.rng = splitmix.Derive(s.r.seed, site, base+b)
+			if s.sampleFrom(targets[j], 0, words[b*l:(b+1)*l]) {
+				valid |= 1 << b
+			}
 		}
-		if !s.acceptsSet(targets[:j], buf) {
-			fresh++
-		}
+		s.acceptChecks += bits.OnesCount64(valid)
+		fresh += bits.OnesCount64(valid &^ s.acceptsBatch(targets[:j], words, l, valid))
 	}
 	return fresh
 }
@@ -77,11 +98,18 @@ func (s *sampler) sampleFrom(q, pos int, out []int) bool {
 	r := s.r
 	for ; pos < len(out); pos++ {
 		rem := len(out) - pos
-		i := r.entryRow(q, rem).Pick(&s.rng)
-		if i < 0 {
+		entries := r.pl.ix.states[q]
+		i := 0
+		if len(entries) == 1 {
+			// The walk only enters cells whose estimate is nonzero, and a
+			// one-entry state's estimate is its entry's weight, so
+			// Row.Pick on this row would draw exactly one variate and
+			// return 0: draw it and skip loading (or building) the row.
+			s.rng.Uint64()
+		} else if i = r.entryRow(q, rem).Pick(&s.rng); i < 0 {
 			return false
 		}
-		en := &r.pl.ix.states[q][i]
+		en := &entries[i]
 		out[pos] = en.sym
 		if len(en.targets) > 1 {
 			maxRetry := r.maxRetry
@@ -163,6 +191,76 @@ func (s *sampler) acceptsSet(states []int, word []int) bool {
 		}
 	}
 	return false
+}
+
+// acceptsBatch returns the mask of the words, among those whose bit is
+// set in valid, that some state in the set accepts. Word b is
+// words[b·l:(b+1)·l]. One subset simulation runs all of them: a live
+// state carries the mask of the words whose frontier holds it, a step
+// ORs a state's mask, restricted to the words reading an entry's
+// symbol, into each of the entry's targets, and the run ends when no
+// state is live or the words are read. Each mask array entry is cleared
+// as it is consumed, so both arrays are zero again on return.
+func (s *sampler) acceptsBatch(states []int, words []int, l int, valid uint64) uint64 {
+	if valid == 0 {
+		return 0
+	}
+	ix := s.r.pl.ix
+	cur, nxt, sym := s.curMask, s.nextMask, s.symMask
+	live := s.cur[:0]
+	for _, q := range states {
+		if cur[q] == 0 {
+			live = append(live, int32(q))
+		}
+		cur[q] |= valid
+	}
+	next := s.next[:0]
+	alive := valid
+	for p := 0; p < l && len(live) > 0; p++ {
+		step := alive
+		for m := step; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if a := words[b*l+p]; a < len(sym) {
+				sym[a] |= 1 << b
+			}
+		}
+		alive = 0
+		next = next[:0]
+		for _, q := range live {
+			mq := cur[q]
+			cur[q] = 0
+			for i := range ix.states[q] {
+				en := &ix.states[q][i]
+				m := mq & sym[en.sym]
+				if m == 0 {
+					continue
+				}
+				alive |= m
+				for _, t := range en.targets {
+					if nxt[t] == 0 {
+						next = append(next, int32(t))
+					}
+					nxt[t] |= m
+				}
+			}
+		}
+		for m := step; m != 0; m &= m - 1 {
+			if a := words[bits.TrailingZeros64(m)*l+p]; a < len(sym) {
+				sym[a] = 0
+			}
+		}
+		cur, nxt = nxt, cur
+		live, next = next, live
+	}
+	var accepted uint64
+	for _, q := range live {
+		if s.r.finals.Has(int(q)) {
+			accepted |= cur[q]
+		}
+		cur[q] = 0
+	}
+	s.cur, s.next = live, next
+	return accepted
 }
 
 // nextGen advances the frontier generation. On wrap-around every stamp

@@ -119,8 +119,10 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	applyT0 := time.Now()
 	sum, err := ent.db.ApplyDelta(delta)
 	version := ent.db.Version()
-	// Applying the delta rebuilds automaton parts incrementally — the
-	// write-side analogue of the build phase.
+	// Applying the delta only updates the database's facts and version;
+	// no automaton is rebuilt here. The sessions built on the old
+	// version are evicted below, and the next read pays the rebuild.
+	// The apply time is booked as the write's build phase.
 	tk.phases.Add(obs.PhaseBuild, time.Since(applyT0))
 	ent.mu.Unlock()
 	tk.version = version
