@@ -111,3 +111,114 @@ func TestGoldenEngineCounters(t *testing.T) {
 		}
 	}
 }
+
+// efloatBits is an efloat.E's exact (mantissa bits, exponent) pair.
+type efloatBits struct {
+	mant uint64
+	exp  int64
+}
+
+// The goldenFixed* tables pin the fixed schedule (Strategy "", Delta 0)
+// of each counting pipeline per shape, indexed [seed-1]; MaxProcs 1
+// and 4 must both reproduce them. PQE and PathPQE rows are
+// math.Float64bits of the probability; UR and Path rows are efloatBits.
+// The tree pipelines (UR, PQE) are pinned on the triangle and churn
+// shapes only: on the ε 0.1 path shapes one tree call takes seconds to
+// minutes. The values are literal and never regenerated.
+var goldenFixedPQE = map[string][4]uint64{
+	"triangle-half": {0x3fe1eaaaaaaaaaab, 0x3fe1d3a06d3a06d4, 0x3fe1da740da740da, 0x3fe1c962fc962fca},
+	"path3-churn":   {0x3fee29c71c71c71b, 0x3feecd5555555555, 0x3ff161c71c71c71d, 0x3fefbb8e38e38e3b},
+}
+
+var goldenFixedUR = map[string][4]efloatBits{
+	"triangle-half": {{0x3ff1eaaaaaaaaaab, 26}, {0x3ff1d3a06d3a06d4, 26}, {0x3ff1da740da740da, 26}, {0x3ff1c962fc962fca, 26}},
+	"path3-churn":   {{0x3ffe29c71c71c71b, 119}, {0x3ffecd5555555555, 119}, {0x3ff161c71c71c71d, 120}, {0x3fffbb8e38e38e3b, 119}},
+}
+
+var goldenFixedPathPQE = map[string][4]uint64{
+	"path3-half":     {0x3fedceb4d32298f9, 0x3fee1b0706bc2b6d, 0x3fedca0512fdd1d9, 0x3fee0856517525be},
+	"path3-rational": {0x3feed6da1332eb12, 0x3fef78fe90bb60e2, 0x3feef75bdd382908, 0x3fef31d5f52b41e1},
+	"path3-churn":    {0x3ff3a071c71c71c7, 0x3fecd64bda12f686, 0x3ff024425ed097b4, 0x3fed664bda12f687},
+}
+
+var goldenFixedPath = map[string][4]efloatBits{
+	"path3-half":     {{0x3ffdceb4d32298f9, 29}, {0x3ffe1b0706bc2b6d, 29}, {0x3ffdca0512fdd1d9, 29}, {0x3ffe0856517525be, 29}},
+	"path3-rational": {{0x3ffe0c661e51f2ac, 29}, {0x3ffe9a7117925c57, 29}, {0x3ffec333a1ce2b6b, 29}, {0x3ffe75e439e0c46a, 29}},
+	"path3-churn":    {{0x3ff3a071c71c71c7, 120}, {0x3ffcd64bda12f686, 119}, {0x3ff024425ed097b4, 120}, {0x3ffd664bda12f687, 119}},
+}
+
+func TestGoldenFixedEstimates(t *testing.T) {
+	probe := func(name, pipeline string, seed int64, procs int, got, want any, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s %s seed %d MaxProcs %d: %v", name, pipeline, seed, procs, err)
+		}
+		if got != want {
+			t.Errorf("%s %s seed %d MaxProcs %d: bits %#v, want %#v", name, pipeline, seed, procs, got, want)
+		}
+	}
+	bitsOf := func(x interface{ Bits() (uint64, int64) }) efloatBits {
+		m, e := x.Bits()
+		return efloatBits{m, e}
+	}
+	for _, sh := range goldenShapes() {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, procs := range []int{1, 4} {
+				opts := Options{Epsilon: sh.eps, Trials: sh.trials, Seed: seed, MaxProcs: procs}
+				if want, ok := goldenFixedPQE[sh.name]; ok {
+					p, err := PQEEstimate(sh.q, sh.h, opts)
+					probe(sh.name, "PQE", seed, procs, math.Float64bits(p), want[seed-1], err)
+				}
+				if want, ok := goldenFixedUR[sh.name]; ok {
+					c, err := UREstimate(sh.q, sh.h.DB(), opts)
+					probe(sh.name, "UR", seed, procs, bitsOf(c), want[seed-1], err)
+				}
+				if want, ok := goldenFixedPathPQE[sh.name]; ok {
+					p, err := PathPQEEstimate(sh.q, sh.h, opts)
+					probe(sh.name, "PathPQE", seed, procs, math.Float64bits(p), want[seed-1], err)
+				}
+				if want, ok := goldenFixedPath[sh.name]; ok {
+					c, err := PathEstimate(sh.q, sh.h.DB(), opts)
+					probe(sh.name, "Path", seed, procs, bitsOf(c), want[seed-1], err)
+				}
+			}
+		}
+	}
+}
+
+// goldenTrialCounts pins the per-call trial accounting of each routed
+// shape: countnfta_trials_total, countnfta_trials_saved_total,
+// countnfa_trials_total, countnfa_trials_saved_total and
+// router_trials_saved_total. It is the same at every seed and MaxProcs.
+var goldenTrialCounts = map[string][5]int64{
+	"path3-half":     {0, 0, 3, 2, 2},
+	"triangle-half":  {3, 2, 0, 0, 2},
+	"path3-rational": {0, 0, 3, 2, 2},
+	"path3-churn":    {0, 0, 1, 0, 0},
+}
+
+func TestGoldenTrialCounts(t *testing.T) {
+	for _, sh := range goldenShapes() {
+		want, ok := goldenTrialCounts[sh.name]
+		if !ok {
+			t.Fatalf("%s: no trial-count row", sh.name)
+		}
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, procs := range []int{1, 4} {
+				reg := obs.NewRegistry()
+				if _, err := Evaluate(sh.q, sh.h, Options{
+					Epsilon: sh.eps, Trials: sh.trials, Seed: seed, MaxProcs: procs, Strategy: "auto",
+					Obs: obs.NewScope(nil, reg, nil),
+				}); err != nil {
+					t.Fatalf("%s seed %d MaxProcs %d: %v", sh.name, seed, procs, err)
+				}
+				c := func(name string) int64 { return reg.Counter(name).Value() }
+				got := [5]int64{c("countnfta_trials_total"), c("countnfta_trials_saved_total"),
+					c("countnfa_trials_total"), c("countnfa_trials_saved_total"), c("router_trials_saved_total")}
+				if got != want {
+					t.Errorf("%s seed %d MaxProcs %d: trial counts %v, want %v", sh.name, seed, procs, got, want)
+				}
+			}
+		}
+	}
+}
