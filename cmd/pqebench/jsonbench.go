@@ -170,16 +170,16 @@ func runJSONBench(path string, eps float64, seed int64, workers int, stdout io.W
 		for _, tc := range ur {
 			h := gen.Instance(tc.q, gen.Config{FactsPerRelation: 3, DomainSize: 3, Seed: 2})
 			d := h.DB()
-			var st count.Stats
+			reg := obs.NewRegistry()
 			ops, ns, allocs, bytes := measure(func(i int) {
 				v, err := core.UREstimate(tc.q, d, core.Options{
-					Epsilon: eps, Seed: seed + int64(i), Workers: w, CountStats: &st,
+					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: obs.NewScope(nil, reg, nil),
 				})
 				if err != nil || v.IsZero() {
 					panic(fmt.Sprintf("%s: err=%v v=%v", tc.name, err, v))
 				}
 			})
-			rec := record(tc.name, w, ops, ns, allocs, bytes, &st)
+			rec := record(tc.name, w, ops, ns, allocs, bytes, reg)
 			rec.Stages = measureStages(stageRuns, func(sc *obs.Scope, i int) {
 				_, _ = core.UREstimate(tc.q, d, core.Options{
 					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: sc,
@@ -189,17 +189,17 @@ func runJSONBench(path string, eps float64, seed int64, workers int, stdout io.W
 		}
 
 		a := heavyOverlap()
-		var st count.Stats
+		reg := obs.NewRegistry()
 		var v efloat.E
 		ops, ns, allocs, bytes := measure(func(i int) {
 			v = count.Trees(a, 24, count.Options{
-				Epsilon: eps, Trials: 3, Seed: seed + int64(i), Workers: w, Stats: &st,
+				Epsilon: eps, Trials: 3, Seed: seed + int64(i), Workers: w, Obs: obs.NewScope(nil, reg, nil),
 			})
 		})
 		if v.IsZero() {
 			return fmt.Errorf("CountTrees/heavyOverlap: estimate collapsed to zero")
 		}
-		rec := record("CountTrees/heavyOverlap/n=24", w, ops, ns, allocs, bytes, &st)
+		rec := record("CountTrees/heavyOverlap/n=24", w, ops, ns, allocs, bytes, reg)
 		rec.Stages = measureStages(stageRuns, func(sc *obs.Scope, i int) {
 			count.Trees(a, 24, count.Options{
 				Epsilon: eps, Trials: 3, Seed: seed + int64(i), Workers: w, Obs: sc,
@@ -219,9 +219,10 @@ func runJSONBench(path string, eps float64, seed int64, workers int, stdout io.W
 	return nil
 }
 
-// record averages the accumulated estimator counters over the ops and
-// packages one result row.
-func record(name string, workers, ops int, ns int64, allocs, bytes uint64, st *count.Stats) benchRecord {
+// record averages the countnfta_* counters the timed ops accumulated in
+// reg and packages one result row.
+func record(name string, workers, ops int, ns int64, allocs, bytes uint64, reg *obs.Registry) benchRecord {
+	c := perOp(reg, "countnfta_", ops)
 	return benchRecord{
 		Name:        name,
 		Workers:     workers,
@@ -230,11 +231,19 @@ func record(name string, workers, ops int, ns int64, allocs, bytes uint64, st *c
 		AllocsPerOp: allocs,
 		BytesPerOp:  bytes,
 		Stats: &benchStats{
-			TreeKeys:     st.TreeKeys / ops,
-			ForestKeys:   st.ForestKeys / ops,
-			UnionSamples: st.UnionSamples / ops,
-			Rejections:   st.Rejections / ops,
-			WallNs:       st.WallTime.Nanoseconds() / int64(ops),
+			TreeKeys:     int(c("tree_keys")),
+			ForestKeys:   int(c("forest_keys")),
+			UnionSamples: int(c("union_samples")),
+			Rejections:   int(c("rejections")),
+			WallNs:       c("wall_ns"),
 		},
+	}
+}
+
+// perOp reads one engine's <prefix><name>_total counters from reg,
+// averaged over ops.
+func perOp(reg *obs.Registry, prefix string, ops int) func(name string) int64 {
+	return func(name string) int64 {
+		return reg.Counter(prefix+name+"_total").Value() / int64(ops)
 	}
 }

@@ -69,17 +69,17 @@ func runJSONBenchNFA(path string, eps float64, seed int64, workers int, stdout i
 			q := cq.PathQuery("R", n)
 			h := gen.SparsePathInstance(q, 3, 2, gen.ProbHalf, 1)
 			d := h.DB()
-			var st nfa.Stats
+			reg := obs.NewRegistry()
 			ops, ns, allocs, bytes := measure(func(i int) {
 				v, err := core.PathEstimate(q, d, core.Options{
-					Epsilon: eps, Seed: seed + int64(i), Workers: w, NFAStats: &st,
+					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: obs.NewScope(nil, reg, nil),
 				})
 				if err != nil || v.IsZero() {
 					panic(fmt.Sprintf("PathEstimate/len=%d: err=%v v=%v", n, err, v))
 				}
 			})
 			rec := nfaRecord(
-				fmt.Sprintf("PathEstimate/len=%d_facts=%d", n, d.Size()), w, ops, ns, allocs, bytes, &st)
+				fmt.Sprintf("PathEstimate/len=%d_facts=%d", n, d.Size()), w, ops, ns, allocs, bytes, reg)
 			rec.Stages = measureStages(stageRuns, func(sc *obs.Scope, i int) {
 				_, _ = core.PathEstimate(q, d, core.Options{
 					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: sc,
@@ -92,17 +92,17 @@ func runJSONBenchNFA(path string, eps float64, seed int64, workers int, stdout i
 		{
 			q := cq.PathQuery("R", 3)
 			h := gen.SparsePathInstance(q, 3, 2, gen.ProbRandomRational, 1)
-			var st nfa.Stats
+			reg := obs.NewRegistry()
 			ops, ns, allocs, bytes := measure(func(i int) {
 				v, err := core.PathPQEEstimate(q, h, core.Options{
-					Epsilon: eps, Seed: seed + int64(i), Workers: w, NFAStats: &st,
+					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: obs.NewScope(nil, reg, nil),
 				})
 				if err != nil || v == 0 {
 					panic(fmt.Sprintf("PathPQEEstimate: err=%v v=%v", err, v))
 				}
 			})
 			rec := nfaRecord(
-				fmt.Sprintf("PathPQEEstimate/len=3_facts=%d", h.Size()), w, ops, ns, allocs, bytes, &st)
+				fmt.Sprintf("PathPQEEstimate/len=3_facts=%d", h.Size()), w, ops, ns, allocs, bytes, reg)
 			rec.Stages = measureStages(stageRuns, func(sc *obs.Scope, i int) {
 				_, _ = core.PathPQEEstimate(q, h, core.Options{
 					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: sc,
@@ -121,17 +121,17 @@ func runJSONBenchNFA(path string, eps float64, seed int64, workers int, stdout i
 			if err != nil {
 				return err
 			}
-			var st nfa.Stats
+			reg := obs.NewRegistry()
 			ops, ns, allocs, bytes := measure(func(i int) {
 				v := nfa.Count(m, d.Size(), nfa.CountOptions{
-					Epsilon: eps, Seed: seed + int64(i), Workers: w, Stats: &st,
+					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: obs.NewScope(nil, reg, nil),
 				})
 				if v.IsZero() {
 					panic("CountNFA: estimate collapsed to zero")
 				}
 			})
 			rec := nfaRecord(
-				fmt.Sprintf("CountNFA/path3_facts=%d", d.Size()), w, ops, ns, allocs, bytes, &st)
+				fmt.Sprintf("CountNFA/path3_facts=%d", d.Size()), w, ops, ns, allocs, bytes, reg)
 			rec.Stages = measureStages(stageRuns, func(sc *obs.Scope, i int) {
 				nfa.Count(m, d.Size(), nfa.CountOptions{
 					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: sc,
@@ -152,7 +152,9 @@ func runJSONBenchNFA(path string, eps float64, seed int64, workers int, stdout i
 	return nil
 }
 
-func nfaRecord(name string, workers, ops int, ns int64, allocs, bytes uint64, st *nfa.Stats) nfaBenchRecord {
+// nfaRecord is record for the string engine's countnfa_* counters.
+func nfaRecord(name string, workers, ops int, ns int64, allocs, bytes uint64, reg *obs.Registry) nfaBenchRecord {
+	c := perOp(reg, "countnfa_", ops)
 	return nfaBenchRecord{
 		Name:        name,
 		Workers:     workers,
@@ -161,11 +163,11 @@ func nfaRecord(name string, workers, ops int, ns int64, allocs, bytes uint64, st
 		AllocsPerOp: allocs,
 		BytesPerOp:  bytes,
 		Stats: &nfaBenchStats{
-			WordKeys:     st.WordKeys / ops,
-			UnionKeys:    st.UnionKeys / ops,
-			UnionSamples: st.UnionSamples / ops,
-			Rejections:   st.Rejections / ops,
-			WallNs:       st.WallTime.Nanoseconds() / int64(ops),
+			WordKeys:     int(c("word_keys")),
+			UnionKeys:    int(c("union_keys")),
+			UnionSamples: int(c("union_samples")),
+			Rejections:   int(c("rejections")),
+			WallNs:       c("wall_ns"),
 		},
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"pqe/internal/cq"
 	"pqe/internal/gen"
+	"pqe/internal/obs"
 	"pqe/internal/pdb"
 )
 
@@ -274,5 +275,54 @@ func TestEstimatorFirstWeightingRace(t *testing.T) {
 			}(call)
 		}
 		wg.Wait()
+	}
+}
+
+// TestRoutedTrialsSavedConcurrent: concurrent routed calls sharing one
+// registry add exactly their own saved trials to
+// router_trials_saved_total — the sum of what each call saves when it
+// runs alone. Each call reports its trial driver's Result, so
+// interleaved engine counters cannot leak between calls.
+func TestRoutedTrialsSavedConcurrent(t *testing.T) {
+	path := cq.PathQuery("R", 3)
+	tri := cq.CycleQuery("C", 3)
+	sessions := []*Estimator{
+		NewEstimator(path, gen.Instance(path, gen.Config{FactsPerRelation: 10, DomainSize: 4, Seed: 13}), Options{}),
+		NewEstimator(tri, gen.Instance(tri, gen.Config{FactsPerRelation: 9, DomainSize: 4, Seed: 21}), Options{}),
+	}
+	const calls = 8
+	opts := func(i int, reg *obs.Registry) Options {
+		return Options{Epsilon: 0.3, Trials: 15, Seed: int64(i + 1), MaxProcs: 1, Strategy: "auto",
+			Obs: obs.NewScope(nil, reg, nil)}
+	}
+	var want int64
+	for i := 0; i < calls; i++ {
+		reg := obs.NewRegistry()
+		if _, err := sessions[i%2].Evaluate(opts(i, reg)); err != nil {
+			t.Fatal(err)
+		}
+		want += reg.Counter("router_trials_saved_total").Value()
+	}
+	if want == 0 {
+		t.Fatal("no call saved trials; the probe needs anytime stops")
+	}
+	shared := obs.NewRegistry()
+	var wg sync.WaitGroup
+	errs := make([]error, calls)
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = sessions[i%2].Evaluate(opts(i, shared))
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := shared.Counter("router_trials_saved_total").Value(); got != want {
+		t.Errorf("concurrent router_trials_saved_total = %d, want the sequential sum %d", got, want)
 	}
 }

@@ -73,14 +73,6 @@ type Options struct {
 	//
 	// Deprecated: set MaxProcs.
 	Workers int
-	// CountStats, when non-nil, accumulates CountNFTA effort counters
-	// (memo sizes, samples, wall time, allocations) across estimator
-	// invocations.
-	CountStats *count.Stats
-	// NFAStats is the string-engine counterpart of CountStats: CountNFA
-	// effort counters accumulated across PathEstimate / PathPQEEstimate
-	// invocations.
-	NFAStats *nfa.Stats
 	// Obs, when non-nil, attaches the unified telemetry sinks to the
 	// pipeline: stage spans for every construction and counting phase,
 	// registry counters (pqe_build_* plus the engines' countnfta_* /
@@ -129,7 +121,6 @@ func (o Options) countOptions(sc *obs.Scope) count.Options {
 		MaxProcs: o.MaxProcs,
 		Parallel: o.Parallel,
 		Workers:  o.Workers,
-		Stats:    o.CountStats,
 		Obs:      sc,
 		Ctx:      o.Ctx,
 	}
@@ -146,7 +137,6 @@ func (o Options) nfaOptions(sc *obs.Scope) nfa.CountOptions {
 		MaxProcs: o.MaxProcs,
 		Parallel: o.Parallel,
 		Workers:  o.Workers,
-		Stats:    o.NFAStats,
 		Obs:      sc,
 		Ctx:      o.Ctx,
 	}
@@ -242,6 +232,10 @@ type Result struct {
 	Class       Classification
 	// Reason explains the routing decision (strategy routing only).
 	Reason string
+
+	// trialsSaved is how many trials the FPRAS engine's anytime
+	// certificate spared (router_trials_saved_total).
+	trialsSaved int
 }
 
 // Evaluate routes a query to the best applicable algorithm, mirroring

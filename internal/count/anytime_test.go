@@ -55,16 +55,20 @@ func TestTreesAnytimeTrialBudget(t *testing.T) {
 	}
 }
 
-// When the certificate never fires, anytime matches the fixed schedule
-// exactly — same trials, same seeds, same median.
+// When the floor reaches the cap, anytime runs the full schedule and
+// matches the fixed schedule exactly — same trials, same seeds, same
+// median. Trials 3 is the default floor, so floor = cap.
 func TestTreesAnytimeCapMatchesFixed(t *testing.T) {
 	a := heavyOverlap()
 	n := 9
-	fixed := Trees(a, n, Options{Epsilon: 0.1, Trials: 5, Seed: 42})
-	// MinTrials = Trials forces the full schedule even if trials agree.
-	any := Trees(a, n, Options{Epsilon: 0.1, Trials: 5, Seed: 42, Anytime: true, MinTrials: 5})
+	fixed := Trees(a, n, Options{Epsilon: 0.1, Trials: 3, Seed: 42})
+	reg := obs.NewRegistry()
+	any := Trees(a, n, Options{Epsilon: 0.1, Trials: 3, Seed: 42, Anytime: true, Obs: obs.NewScope(nil, reg, nil)})
 	if fixed.Cmp(any) != 0 {
 		t.Errorf("anytime-at-cap %v differs from fixed %v", any, fixed)
+	}
+	if got := reg.Counter("countnfta_trials_total").Value(); got != 3 {
+		t.Errorf("anytime at cap ran %d trials, want 3", got)
 	}
 }
 

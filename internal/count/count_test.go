@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"pqe/internal/nfta"
+	"pqe/internal/obs"
 )
 
 // fullBinary builds the automaton of full binary trees (f/2, x/0).
@@ -336,12 +337,12 @@ func TestTreesMinimalOptions(t *testing.T) {
 
 func TestStatsCollected(t *testing.T) {
 	a := ambiguous() // overlapping branches force union sampling
-	var st Stats
-	Trees(a, 7, Options{Epsilon: 0.2, Trials: 3, Seed: 5, Stats: &st})
-	if st.TreeKeys == 0 {
+	reg := obs.NewRegistry()
+	Trees(a, 7, Options{Epsilon: 0.2, Trials: 3, Seed: 5, Obs: obs.NewScope(nil, reg, nil)})
+	if reg.Counter("countnfta_tree_keys_total").Value() == 0 {
 		t.Error("no tree keys recorded")
 	}
-	if st.UnionSamples == 0 {
+	if reg.Counter("countnfta_union_samples_total").Value() == 0 {
 		t.Error("no union samples recorded despite overlapping branches")
 	}
 }

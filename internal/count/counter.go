@@ -1,11 +1,10 @@
 package count
 
 import (
-	"sort"
-
 	"pqe/internal/efloat"
 	"pqe/internal/nfta"
 	"pqe/internal/sched"
+	"pqe/internal/trial"
 )
 
 // Counter is a reusable counting session over one automaton: repeated
@@ -25,31 +24,32 @@ type Counter struct {
 }
 
 // NewCounter prepares a counting session with opts.Trials independent
-// trial runs.
+// trial runs, seeded as a Trees call with the same options seeds them.
 func NewCounter(a *nfta.NFTA, opts Options) *Counter {
-	if a.HasLambda() {
-		panic("count: automaton has λ-transitions; run EliminateLambda first")
-	}
+	checkLambda(a)
 	opts = opts.withDefaults()
 	pl, _ := planFor(a)
 	c := &Counter{a: a, pl: pl, procs: opts.procs, call: newCallState(pl, opts.procs)}
-	for t := 0; t < opts.Trials; t++ {
-		c.trials = append(c.trials, pl.getRun(opts, opts.Rng.Int63()))
+	for _, seed := range opts.schedule().Seeds() {
+		c.trials = append(c.trials, pl.getRun(opts, seed))
 	}
 	return c
 }
 
-// Count approximates |L_n(T)| (median across the session's trials).
+// Count approximates |L_n(T)|: the trial driver's median across the
+// session's trials.
 func (c *Counter) Count(n int) efloat.E {
-	results := make([]efloat.E, len(c.trials))
-	sched.Run(sched.Config{Procs: c.procs, Trials: len(c.trials), Labels: schedLabels}, func(w *sched.Worker, t int) {
-		r := c.trials[t]
-		r.w, r.call = w, c.call
-		r.ensurePfx(n)
-		results[t] = r.treeEst(c.a.Initial(), n)
+	res, _ := trial.Run(nil, trial.Schedule{Trials: len(c.trials)}, func(lo, hi int) ([]efloat.E, error) {
+		vals := make([]efloat.E, hi-lo)
+		sched.Run(sched.Config{Procs: c.procs, Trials: hi - lo, Labels: schedLabels}, func(w *sched.Worker, i int) {
+			r := c.trials[lo+i]
+			r.w, r.call = w, c.call
+			r.ensurePfx(n)
+			vals[i] = r.treeEst(c.a.Initial(), n)
+		})
+		return vals, nil
 	})
-	sort.Slice(results, func(i, j int) bool { return results[i].Less(results[j]) })
-	return results[len(results)/2]
+	return res.Value
 }
 
 // Sample draws a near-uniform tree of size n using the first trial's

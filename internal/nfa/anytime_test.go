@@ -52,18 +52,22 @@ func TestCountAnytimeTrialBudget(t *testing.T) {
 	}
 }
 
-// MinTrials = Trials pins the full fixed schedule: the anytime call
-// must then reproduce the fixed call bit for bit (same seeds, same
-// trials, same median).
+// Trials 3 puts the default floor at the cap, which pins the full
+// fixed schedule: the anytime call must then reproduce the fixed call
+// bit for bit (same seeds, same trials, same median).
 func TestCountAnytimeCapMatchesFixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 6; trial++ {
 		m := randomNFA(rng)
 		n := 2 + rng.Intn(5)
-		fixed := Count(m, n, CountOptions{Epsilon: 0.15, Trials: 5, Seed: 42})
-		any := Count(m, n, CountOptions{Epsilon: 0.15, Trials: 5, Seed: 42, Anytime: true, MinTrials: 5})
+		fixed := Count(m, n, CountOptions{Epsilon: 0.15, Trials: 3, Seed: 42})
+		reg := obs.NewRegistry()
+		any := Count(m, n, CountOptions{Epsilon: 0.15, Trials: 3, Seed: 42, Anytime: true, Obs: obs.NewScope(nil, reg, nil)})
 		if fixed.Cmp(any) != 0 {
 			t.Fatalf("trial %d: anytime-at-cap %v differs from fixed %v", trial, any, fixed)
+		}
+		if got := reg.Counter("countnfa_trials_total").Value(); got != 3 {
+			t.Fatalf("trial %d: anytime at cap ran %d trials, want 3", trial, got)
 		}
 	}
 }

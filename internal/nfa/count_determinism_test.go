@@ -3,6 +3,8 @@ package nfa
 import (
 	"math/rand"
 	"testing"
+
+	"pqe/internal/obs"
 )
 
 // The determinism contract of the string engine: for a fixed seed the
@@ -97,22 +99,30 @@ func TestCounterMatchesCount(t *testing.T) {
 	}
 }
 
-// Stats must report the work done and, for a deterministic engine, the
-// same sampling effort at every worker count.
+// The countnfa_* counters must report the work done and, for a
+// deterministic engine, the same sampling effort at every worker count.
 func TestCountStats(t *testing.T) {
 	m := buildAB()
-	var s1, s8 Stats
-	Count(m, 8, CountOptions{Epsilon: 0.1, Trials: 3, Seed: 42, Stats: &s1})
-	Count(m, 8, CountOptions{Epsilon: 0.1, Trials: 3, Seed: 42, Workers: 8, Stats: &s8})
-	if s1.WordKeys == 0 || s1.UnionSamples == 0 {
-		t.Fatalf("stats not recorded: %+v", s1)
+	effort := func(workers int) map[string]int64 {
+		reg := obs.NewRegistry()
+		Count(m, 8, CountOptions{Epsilon: 0.1, Trials: 3, Seed: 42, Workers: workers, Obs: obs.NewScope(nil, reg, nil)})
+		out := map[string]int64{}
+		for _, name := range []string{"word_keys", "union_keys", "union_samples", "rejections", "wall_ns"} {
+			out[name] = reg.Counter("countnfa_" + name + "_total").Value()
+		}
+		return out
 	}
-	if s1.WordKeys != s8.WordKeys || s1.UnionKeys != s8.UnionKeys ||
-		s1.UnionSamples != s8.UnionSamples || s1.Rejections != s8.Rejections {
-		t.Errorf("worker count changed effort counters: %+v vs %+v", s1, s8)
+	s1, s8 := effort(1), effort(8)
+	if s1["word_keys"] == 0 || s1["union_samples"] == 0 {
+		t.Fatalf("effort not recorded: %v", s1)
 	}
-	if s1.WallTime <= 0 {
-		t.Errorf("WallTime not recorded: %v", s1.WallTime)
+	for _, name := range []string{"word_keys", "union_keys", "union_samples", "rejections"} {
+		if s1[name] != s8[name] {
+			t.Errorf("worker count changed countnfa_%s_total: %d vs %d", name, s1[name], s8[name])
+		}
+	}
+	if s1["wall_ns"] <= 0 {
+		t.Errorf("countnfa_wall_ns_total not recorded: %d", s1["wall_ns"])
 	}
 }
 

@@ -1,10 +1,9 @@
 package nfa
 
 import (
-	"sort"
-
 	"pqe/internal/efloat"
 	"pqe/internal/sched"
+	"pqe/internal/trial"
 )
 
 // Counter is a reusable counting session over one automaton: repeated
@@ -25,28 +24,31 @@ type Counter struct {
 }
 
 // NewCounter prepares a counting session with opts.Trials independent
-// trial runs.
+// trial runs, seeded as a Count call with the same options seeds them.
 func NewCounter(m *NFA, opts CountOptions) *Counter {
 	opts = opts.withDefaults()
 	pl, _ := planFor(m)
 	c := &Counter{m: m, pl: pl, procs: opts.procs, call: newCallState(pl, opts.procs)}
-	for t := 0; t < opts.Trials; t++ {
-		c.trials = append(c.trials, pl.getRun(opts, opts.Rng.Int63()))
+	for _, seed := range opts.schedule().Seeds() {
+		c.trials = append(c.trials, pl.getRun(opts, seed))
 	}
 	return c
 }
 
-// Count approximates |L_n(M)| (median across the session's trials).
+// Count approximates |L_n(M)|: the trial driver's median across the
+// session's trials.
 func (c *Counter) Count(n int) efloat.E {
-	results := make([]efloat.E, len(c.trials))
-	sched.Run(sched.Config{Procs: c.procs, Trials: len(c.trials), Labels: schedLabels}, func(w *sched.Worker, t int) {
-		r := c.trials[t]
-		r.w, r.call = w, c.call
-		r.ensurePfx(n)
-		results[t] = r.topLevel(n)
+	res, _ := trial.Run(nil, trial.Schedule{Trials: len(c.trials)}, func(lo, hi int) ([]efloat.E, error) {
+		vals := make([]efloat.E, hi-lo)
+		sched.Run(sched.Config{Procs: c.procs, Trials: hi - lo, Labels: schedLabels}, func(w *sched.Worker, i int) {
+			r := c.trials[lo+i]
+			r.w, r.call = w, c.call
+			r.ensurePfx(n)
+			vals[i] = r.topLevel(n)
+		})
+		return vals, nil
 	})
-	sort.Slice(results, func(i, j int) bool { return results[i].Less(results[j]) })
-	return results[len(results)/2]
+	return res.Value
 }
 
 // Sample draws a near-uniform word of length n using the first trial's
@@ -64,16 +66,4 @@ func (c *Counter) Sample(n int) []int {
 		word = r.topSampler().sampleTop(n)
 	})
 	return word
-}
-
-// RecordStats adds the session's accumulated effort counters to s.
-func (c *Counter) RecordStats(s *Stats) {
-	for _, r := range c.trials {
-		s.record(r.snapshot())
-		if r.top != nil {
-			s.Rejections += r.top.rejections
-		}
-	}
-	rej, _ := c.call.totals()
-	s.Rejections += rej
 }

@@ -12,7 +12,7 @@ import (
 	"pqe/internal/efloat"
 	"pqe/internal/obs"
 	"pqe/internal/sched"
-	"pqe/internal/seqstop"
+	"pqe/internal/trial"
 )
 
 // PoolConfig configures a coordinator pool.
@@ -261,16 +261,16 @@ type rangeResult struct {
 // CountSharded distributes one counting call across the pool and
 // merges the result — the core.Sharder implementation.
 //
-// The schedule is exactly the local engine's: for fixed calls one
-// batch of all Trials; for anytime calls the seqstop batches, with the
-// stop certificate evaluated on the coordinator over the gathered
-// per-trial log₂ estimates. Within a batch the trial range is cut into
-// contiguous sub-ranges, one per worker; a failed range (timeout, dead
-// connection, worker error) is reassigned whole to the next live
-// worker, which is free because trial seeds derive from (seed, index),
-// never from placement. The merged value is the upper median of the
-// executed trials — bit-identical to the local run.
-func (p *Pool) CountSharded(sc *obs.Scope, spec core.ShardSpec) (core.ShardResult, error) {
+// The spec's schedule runs through the trial driver, exactly as the
+// local engines run it: one batch of all Trials for fixed calls, the
+// anytime batches with the stop certificate for anytime calls. The
+// driver's Exec here cuts each batch into contiguous sub-ranges, one
+// per worker; a failed range (timeout, dead connection, worker error)
+// is reassigned whole to the next live worker, which is free because
+// trial seeds derive from (seed, index), never from placement. The
+// merged Result — upper median, executed and saved trials — is
+// therefore bit-identical to the local run.
+func (p *Pool) CountSharded(sc *obs.Scope, spec core.ShardSpec) (trial.Result, error) {
 	key := SpecKey(spec.Query, spec.DB, spec.MaxWidth)
 	sc, span := sc.Span("shard.count")
 	defer span.End()
@@ -285,125 +285,104 @@ func (p *Pool) CountSharded(sc *obs.Scope, spec core.ShardSpec) (core.ShardResul
 	callID := conv.NextCall()
 	reg.Counter("shard_calls_total").Inc()
 
-	values := make([]efloat.E, spec.Trials)
-	log2s := make([]float64, spec.Trials)
-
-	runBatch := func(base, next int) error {
+	exec := func(lo, hi int) ([]efloat.E, error) {
 		bspan := span.Start("batch")
 		if bspan != nil {
-			bspan.SetAttr("trial_lo", base)
-			bspan.SetAttr("trial_hi", next)
+			bspan.SetAttr("trial_lo", lo)
+			bspan.SetAttr("trial_hi", hi)
 		}
 		defer bspan.End()
-		ranges := sched.Partition(base, next, len(p.workers))
-		results := make([]rangeResult, len(ranges))
-		var wg sync.WaitGroup
-		for i, r := range ranges {
-			wg.Add(1)
-			go func(i int, r sched.Range) {
-				defer wg.Done()
-				wi := i % len(p.workers)
-				vals, err := p.workers[wi].countRange(spec, key, r.Lo, r.Hi, p.cfg)
-				results[i] = rangeResult{r: r, worker: wi, vals: vals, err: err, done: time.Now()}
-			}(i, r)
-		}
-		wg.Wait()
-		p.ranges.Add(int64(len(ranges)))
-		p.trials.Add(int64(next - base))
-		reg.Counter("shard_ranges_dispatched_total").Add(int64(len(ranges)))
-		reg.Counter("shard_trials_dispatched_total").Add(int64(next - base))
-		// The merge wait is the straggler gap: how long the earliest
-		// finisher idled before the batch's last range landed.
-		var first, last time.Time
-		for _, res := range results {
-			if first.IsZero() || res.done.Before(first) {
-				first = res.done
-			}
-			if res.done.After(last) {
-				last = res.done
-			}
-		}
-		if !first.IsZero() {
-			reg.Histogram("shard_merge_wait_seconds").Observe(last.Sub(first).Seconds())
-		}
-		// Reassign failed ranges to live workers, whole. Derivation
-		// depends only on (seed, site, trial index), so a reassigned
-		// range reproduces the exact estimates its original worker would
-		// have returned.
-		for i := range results {
-			res := &results[i]
-			if res.err == nil {
-				continue
-			}
-			p.failures.Add(1)
-			reg.CounterVec("shard_worker_failures_total", "worker").With(p.workers[res.worker].addr).Inc()
-			recovered := false
-			for off := 1; off < len(p.workers); off++ {
-				wi := (res.worker + off) % len(p.workers)
-				vals, err := p.workers[wi].countRange(spec, key, res.r.Lo, res.r.Hi, p.cfg)
-				if err == nil {
-					res.vals, res.err, res.worker = vals, nil, wi
-					recovered = true
-					p.reassigned.Add(1)
-					reg.Counter("shard_reassigned_total").Inc()
-					break
-				}
-				p.failures.Add(1)
-				reg.CounterVec("shard_worker_failures_total", "worker").With(p.workers[wi].addr).Inc()
-			}
-			if !recovered {
-				return fmt.Errorf("shard: range [%d, %d) failed on every worker: %w", res.r.Lo, res.r.Hi, res.err)
-			}
-		}
-		for _, res := range results {
-			reg.CounterVec("shard_worker_trials_total", "worker").With(p.workers[res.worker].addr).Add(int64(res.r.Len()))
-			for j, v := range res.vals {
-				t := res.r.Lo + j
-				values[t] = v
-				log2s[t] = seqstop.Log2(v)
-			}
+		vals, err := p.dispatch(reg, spec, key, lo, hi)
+		if err != nil {
+			return nil, err
 		}
 		if conv != nil {
-			for t := base; t < next; t++ {
+			for i, v := range vals {
 				conv.Record(obs.TrialRecord{
 					Engine:       spec.Engine(),
 					Call:         callID,
-					Trial:        t,
+					Trial:        lo + i,
 					Trials:       spec.Trials,
 					Epsilon:      spec.Epsilon,
-					Log2Estimate: log2s[t],
+					Log2Estimate: trial.Log2(v),
 				})
 			}
 		}
-		return nil
+		return vals, nil
 	}
+	res, err := trial.Run(nil, spec.Schedule(), exec)
+	if err != nil {
+		return trial.Result{}, err
+	}
+	reg.Counter("shard_trials_saved_total").Add(int64(res.Saved))
+	if span != nil {
+		span.SetAttr("trials_executed", res.Executed)
+	}
+	if res.Executed == 0 {
+		return trial.Result{}, errors.New("shard: no trials executed")
+	}
+	return res, nil
+}
 
-	executed := spec.Trials
-	if spec.Anytime {
-		// The same deterministic batch schedule the local engines run:
-		// boundaries and the stop decision depend only on (ε, δ, Trials)
-		// and the per-trial estimates — never on worker count or timing.
-		sp := seqstop.New(spec.Epsilon, spec.Delta, spec.Trials, 0)
-		executed = 0
-		for executed < spec.Trials {
-			next := sp.NextBatch(executed)
-			if err := runBatch(executed, next); err != nil {
-				return core.ShardResult{}, err
+// dispatch runs trials [lo, hi) across the pool and returns their
+// estimates in trial order: one contiguous sub-range per worker, failed
+// ranges reassigned whole to the next live worker.
+func (p *Pool) dispatch(reg *obs.Registry, spec core.ShardSpec, key string, lo, hi int) ([]efloat.E, error) {
+	ranges := sched.Partition(lo, hi, len(p.workers))
+	results := make([]rangeResult, len(ranges))
+	var wg sync.WaitGroup
+	for i, r := range ranges {
+		wg.Add(1)
+		go func(i int, r sched.Range) {
+			defer wg.Done()
+			wi := i % len(p.workers)
+			vals, err := p.workers[wi].countRange(spec, key, r.Lo, r.Hi, p.cfg)
+			results[i] = rangeResult{r: r, worker: wi, vals: vals, err: err, done: time.Now()}
+		}(i, r)
+	}
+	wg.Wait()
+	p.ranges.Add(int64(len(ranges)))
+	p.trials.Add(int64(hi - lo))
+	reg.Counter("shard_ranges_dispatched_total").Add(int64(len(ranges)))
+	reg.Counter("shard_trials_dispatched_total").Add(int64(hi - lo))
+	// The merge wait is the straggler gap: how long the earliest
+	// finisher idled before the batch's last range landed.
+	var first, last time.Time
+	for _, res := range results {
+		if first.IsZero() || res.done.Before(first) {
+			first = res.done
+		}
+		if res.done.After(last) {
+			last = res.done
+		}
+	}
+	if !first.IsZero() {
+		reg.Histogram("shard_merge_wait_seconds").Observe(last.Sub(first).Seconds())
+	}
+	// Reassign failed ranges to live workers, whole. Derivation
+	// depends only on (seed, site, trial index), so a reassigned range
+	// reproduces the exact estimates its original worker would have
+	// returned.
+	for i := range results {
+		res := &results[i]
+		first := res.worker
+		for off := 1; res.err != nil; off++ {
+			p.failures.Add(1)
+			reg.CounterVec("shard_worker_failures_total", "worker").With(p.workers[res.worker].addr).Inc()
+			if off == len(p.workers) {
+				return nil, fmt.Errorf("shard: range [%d, %d) failed on every worker: %w", res.r.Lo, res.r.Hi, res.err)
 			}
-			executed = next
-			if sp.Stop(log2s[:executed]) {
-				break
+			res.worker = (first + off) % len(p.workers)
+			if res.vals, res.err = p.workers[res.worker].countRange(spec, key, res.r.Lo, res.r.Hi, p.cfg); res.err == nil {
+				p.reassigned.Add(1)
+				reg.Counter("shard_reassigned_total").Inc()
 			}
 		}
-	} else if err := runBatch(0, spec.Trials); err != nil {
-		return core.ShardResult{}, err
 	}
-	reg.Counter("shard_trials_saved_total").Add(int64(spec.Trials - executed))
-	if span != nil {
-		span.SetAttr("trials_executed", executed)
+	vals := make([]efloat.E, 0, hi-lo)
+	for _, res := range results {
+		reg.CounterVec("shard_worker_trials_total", "worker").With(p.workers[res.worker].addr).Add(int64(res.r.Len()))
+		vals = append(vals, res.vals...)
 	}
-	if executed == 0 {
-		return core.ShardResult{}, errors.New("shard: no trials executed")
-	}
-	return core.ShardResult{Value: efloat.UpperMedian(values[:executed]), Executed: executed}, nil
+	return vals, nil
 }

@@ -1,10 +1,10 @@
 // Package shard distributes the FPRAS trial schedule across worker
-// processes. A coordinator (Pool) partitions the fixed trial range —
-// and, for anytime calls, the deterministic seqstop batch boundaries —
-// into contiguous sub-ranges, dispatches them to workers (Server) over
-// a zero-dependency length-prefixed JSON protocol on TCP, and merges
-// the per-trial estimates through the same upper-median path the
-// engines use locally.
+// processes. A coordinator (Pool) runs the schedule through the same
+// trial driver the engines use locally (internal/trial): each batch
+// the driver asks for — the whole fixed range, or one deterministic
+// anytime batch — is cut into contiguous sub-ranges and dispatched to
+// workers (Server) over a zero-dependency length-prefixed JSON protocol
+// on TCP, and the driver merges the per-trial estimates.
 //
 // Determinism contract: every trial's PRNG streams derive from
 // (seed, site, index) — never from the schedule, the partition, or the

@@ -10,6 +10,7 @@ import (
 	"pqe/internal/core"
 	"pqe/internal/cq"
 	"pqe/internal/efloat"
+	"pqe/internal/gen"
 	"pqe/internal/obs"
 	"pqe/internal/pdb"
 	"pqe/internal/sched"
@@ -190,7 +191,7 @@ func bitsEqual(a, b efloat.E) bool {
 	return am == bm && ae == be
 }
 
-// TestBitIdentityAnytime pins the anytime path: seqstop batch
+// TestBitIdentityAnytime pins the anytime path: the trial driver's batch
 // boundaries live on the coordinator and the sharded run must execute
 // the same trials and produce the same bits as the local anytime run.
 func TestBitIdentityAnytime(t *testing.T) {
@@ -365,5 +366,43 @@ func TestAllWorkersDead(t *testing.T) {
 	sopts.Shard = pool
 	if _, err := core.NewEstimator(q, h, sopts).PQEEstimate(sopts); err == nil {
 		t.Fatal("call with all workers dead succeeded")
+	}
+}
+
+// TestShardedTrialsSavedAttribution: a sharded routed anytime call
+// attributes the trials its certificate saved to
+// router_trials_saved_total exactly as the local call does — the
+// coordinator's trial driver reports them, not the engines' counters.
+func TestShardedTrialsSavedAttribution(t *testing.T) {
+	addrs, stop := startWorkers(t, 2, ServerConfig{MaxProcs: 2})
+	defer stop()
+	pool, err := Dial(addrs, PoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	q := cq.PathQuery("R", 3)
+	h := gen.Instance(q, gen.Config{FactsPerRelation: 10, DomainSize: 4, Seed: 13})
+	saved := func(shard core.Sharder) (int64, float64) {
+		reg := obs.NewRegistry()
+		res, err := core.Evaluate(q, h, core.Options{
+			Epsilon: 0.3, Trials: 15, Seed: 1, MaxProcs: 1, Strategy: "auto", Shard: shard,
+			Obs: obs.NewScope(nil, reg, nil),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg.Counter("router_trials_saved_total").Value(), res.Probability
+	}
+	local, localP := saved(nil)
+	sharded, shardedP := saved(pool)
+	if local == 0 {
+		t.Fatal("local anytime call saved no trials; the probe needs an early stop")
+	}
+	if sharded != local {
+		t.Errorf("sharded router_trials_saved_total = %d, local %d", sharded, local)
+	}
+	if math.Float64bits(shardedP) != math.Float64bits(localP) {
+		t.Errorf("sharded estimate %v != local %v", shardedP, localP)
 	}
 }

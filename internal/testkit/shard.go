@@ -162,8 +162,9 @@ func RunShardDifferential(c *Case, cfg Config, h *ShardHarness) error {
 			return err
 		}
 	}
-	// Anytime: the coordinator owns the seqstop batch boundaries, so the
-	// executed-trial sequence — and the merged bits — must match local.
+	// Anytime: the coordinator's trial driver owns the batch boundaries,
+	// so the executed-trial sequence — and the merged bits — must match
+	// local.
 	return prob("shard/anytime", siteShardAnytime, func(o *core.Options) { o.Delta = 0.25 },
 		func(opts core.Options) (float64, error) {
 			return core.PQEEstimate(c.Query, c.H, opts)
