@@ -83,7 +83,7 @@ func BenchmarkUREstimate(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers=%d", tc.name, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					v, err := core.UREstimate(tc.q, d, core.Options{Epsilon: 0.1, Seed: int64(i + 1), Workers: w})
+					v, err := core.UREstimate(tc.q, d, core.Options{Epsilon: 0.1, Seed: int64(i + 1), MaxProcs: w})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -332,7 +332,7 @@ func BenchmarkCountNFTA(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink = count.Trees(red.Auto, red.TreeSize, count.Options{Epsilon: 0.1, Seed: int64(i + 1), Workers: w})
+				benchSink = count.Trees(red.Auto, red.TreeSize, count.Options{Epsilon: 0.1, Seed: int64(i + 1), MaxProcs: w})
 			}
 		})
 	}

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	pqe -query "R(x,y), S(y,z)" -db data.pdb [-eps 0.1] [-delta 0.1] [-seed 1]
-//	    [-strategy auto] [-fpras] [-exact] [-debug-addr :8080] [-trace-json trace.json]
-//	    [-workers-addr host1:9731,host2:9731]
+//	    [-strategy auto] [-exact] [-maxprocs N] [-debug-addr :8080]
+//	    [-trace-json trace.json] [-workers-addr host1:9731,host2:9731]
 //	pqe -shard-listen :9731            # run as a shard worker process
 //
 // The database file has one fact per line: "R(a, b) : 3/4" (fractions
@@ -14,10 +14,9 @@
 // safe queries to an exact safe plan, provably small lineages to exact
 // weighted model counting, and the rest of the tractable landscape to
 // the combined-complexity FPRAS of van Bremen & Meel (PODS 2023) with
-// anytime sequential stopping. -strategy legacy restores the two-way
-// safe/FPRAS routing; -strategy force-<engine> pins one algorithm;
-// -fpras forces the tree FPRAS; -exact adds a brute-force check (tiny
-// databases only).
+// anytime sequential stopping. -strategy force-<engine> pins one
+// algorithm (force-nfta: the tree FPRAS, even for safe queries);
+// -exact adds a brute-force check (tiny databases only).
 package main
 
 import (
@@ -43,20 +42,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pqe", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		queryStr  = fs.String("query", "", "conjunctive query, e.g. 'R(x,y), S(y,z)'")
-		dbPath    = fs.String("db", "", "probabilistic database file")
-		eps       = fs.Float64("eps", 0.1, "FPRAS target relative error ε")
-		delta     = fs.Float64("delta", 0, "anytime stopping failure target δ (0 = engine default ≈ 0.1)")
-		seed      = fs.Int64("seed", 1, "random seed")
-		strategy  = fs.String("strategy", "auto", "routing: auto, legacy, or force-{safeplan,obdd,lineage,nfta,nfa,montecarlo}")
-		fpras     = fs.Bool("fpras", false, "force the FPRAS even for safe queries (alias for -strategy force-nfta)")
-		exactBF   = fs.Bool("exact", false, "also run the brute-force oracle (|D| ≤ 30)")
-		ur        = fs.Bool("ur", false, "compute uniform reliability (subinstance count) instead of probability")
-		explain   = fs.Bool("explain", false, "print the evaluation plan instead of evaluating")
-		sample    = fs.Int("sample", 0, "also draw N worlds conditioned on the query holding")
+		queryStr    = fs.String("query", "", "conjunctive query, e.g. 'R(x,y), S(y,z)'")
+		dbPath      = fs.String("db", "", "probabilistic database file")
+		eps         = fs.Float64("eps", 0.1, "FPRAS target relative error ε")
+		delta       = fs.Float64("delta", 0, "anytime stopping failure target δ (0 = engine default ≈ 0.1)")
+		seed        = fs.Int64("seed", 1, "random seed")
+		strategy    = fs.String("strategy", "auto", "routing: auto or force-{safeplan,obdd,lineage,nfta,nfa,montecarlo}")
+		exactBF     = fs.Bool("exact", false, "also run the brute-force oracle (|D| ≤ 30)")
+		ur          = fs.Bool("ur", false, "compute uniform reliability (subinstance count) instead of probability")
+		explain     = fs.Bool("explain", false, "print the evaluation plan instead of evaluating")
+		sample      = fs.Int("sample", 0, "also draw N worlds conditioned on the query holding")
 		trials      = fs.Int("trials", 5, "independent FPRAS estimates to take the median of")
 		maxprocs    = fs.Int("maxprocs", runtime.NumCPU(), "workers of the counting engines' unified scheduler (1 = sequential; same answer either way)")
-		workers     = fs.Int("workers", 0, "deprecated alias for -maxprocs")
 		workersAddr = fs.String("workers-addr", "", "comma-separated shard worker addresses to distribute FPRAS trials across (bit-identical to a local run)")
 		shardListen = fs.String("shard-listen", "", "run as a shard worker: serve trial ranges on this address (e.g. :9731) instead of evaluating")
 		debugAddr   = fs.String("debug-addr", "", "serve live telemetry on this address (/metrics, /trace.json, /debug/pprof/)")
@@ -71,9 +68,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if err := flagcheck.Positive("maxprocs", *maxprocs); err != nil {
-		return err
-	}
-	if err := flagcheck.NonNegative("workers", *workers); err != nil {
 		return err
 	}
 
@@ -138,20 +132,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "facts: %d   self-join-free: %v   hypertree width: %d (bounded: %v)   safe: %v\n",
 		db.Size(), sjf, width, bounded, safe)
 
-	procs := *maxprocs
-	if *workers > 0 {
-		procs = *workers
-	}
-	// -strategy legacy restores the pre-router two-way routing; -fpras
-	// maps to forcing the tree FPRAS, overriding -strategy.
-	strat := *strategy
-	if strat == "legacy" {
-		strat = ""
-	}
-	if *fpras {
-		strat = "force-nfta"
-	}
-	opts := &pqe.Options{Epsilon: *eps, Delta: *delta, Seed: *seed, Trials: *trials, Strategy: strat, MaxProcs: procs, Telemetry: tel}
+	opts := &pqe.Options{Epsilon: *eps, Delta: *delta, Seed: *seed, Trials: *trials, Strategy: *strategy, MaxProcs: *maxprocs, Telemetry: tel}
 	if *workersAddr != "" {
 		addrs, err := flagcheck.NonEmptyList("workers-addr", *workersAddr)
 		if err != nil {
@@ -211,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	for i := 0; i < *sample; i++ {
-		w, err := est.SampleWorld(&pqe.Options{Epsilon: *eps, Seed: *seed + int64(i), MaxProcs: procs, Telemetry: tel})
+		w, err := est.SampleWorld(&pqe.Options{Epsilon: *eps, Seed: *seed + int64(i), MaxProcs: *maxprocs, Telemetry: tel})
 		if err != nil {
 			return err
 		}

@@ -62,12 +62,12 @@ func TestRunFPRASQuery(t *testing.T) {
 	db := writeDB(t, "R1(a,b) : 1/2\nR2(b,c) : 1/2\nR3(c,d) : 1/2\n")
 	var out, errOut strings.Builder
 	err := run([]string{"-query", "R1(x1,x2), R2(x2,x3), R3(x3,x4)", "-db", db,
-		"-eps", "0.1", "-seed", "3", "-strategy", "legacy"}, &out, &errOut)
+		"-eps", "0.1", "-seed", "3", "-strategy", "force-nfta"}, &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "approximate") {
-		t.Errorf("unsafe query not approximate under legacy routing: %s", out.String())
+	if !strings.Contains(out.String(), "approximate") || !strings.Contains(out.String(), "NFTA") {
+		t.Errorf("unsafe query not approximated by the tree FPRAS under force-nfta: %s", out.String())
 	}
 }
 
@@ -174,7 +174,6 @@ func TestRunRejectsBadNumericFlags(t *testing.T) {
 		{"trials", append([]string{"-trials", "-3"}, base...)},
 		{"maxprocs", append([]string{"-maxprocs", "0"}, base...)},
 		{"maxprocs", append([]string{"-maxprocs", "-1"}, base...)},
-		{"workers", append([]string{"-workers", "-2"}, base...)},
 	}
 	for _, c := range cases {
 		var out, errOut strings.Builder

@@ -173,7 +173,7 @@ func runJSONBench(path string, eps float64, seed int64, workers int, stdout io.W
 			reg := obs.NewRegistry()
 			ops, ns, allocs, bytes := measure(func(i int) {
 				v, err := core.UREstimate(tc.q, d, core.Options{
-					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: obs.NewScope(nil, reg, nil),
+					Epsilon: eps, Seed: seed + int64(i), MaxProcs: w, Obs: obs.NewScope(nil, reg, nil),
 				})
 				if err != nil || v.IsZero() {
 					panic(fmt.Sprintf("%s: err=%v v=%v", tc.name, err, v))
@@ -182,7 +182,7 @@ func runJSONBench(path string, eps float64, seed int64, workers int, stdout io.W
 			rec := record(tc.name, w, ops, ns, allocs, bytes, reg)
 			rec.Stages = measureStages(stageRuns, func(sc *obs.Scope, i int) {
 				_, _ = core.UREstimate(tc.q, d, core.Options{
-					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: sc,
+					Epsilon: eps, Seed: seed + int64(i), MaxProcs: w, Obs: sc,
 				})
 			})
 			out.Results = append(out.Results, rec)
@@ -193,7 +193,7 @@ func runJSONBench(path string, eps float64, seed int64, workers int, stdout io.W
 		var v efloat.E
 		ops, ns, allocs, bytes := measure(func(i int) {
 			v = count.Trees(a, 24, count.Options{
-				Epsilon: eps, Trials: 3, Seed: seed + int64(i), Workers: w, Obs: obs.NewScope(nil, reg, nil),
+				Epsilon: eps, Trials: 3, Seed: seed + int64(i), MaxProcs: w, Obs: obs.NewScope(nil, reg, nil),
 			})
 		})
 		if v.IsZero() {
@@ -202,7 +202,7 @@ func runJSONBench(path string, eps float64, seed int64, workers int, stdout io.W
 		rec := record("CountTrees/heavyOverlap/n=24", w, ops, ns, allocs, bytes, reg)
 		rec.Stages = measureStages(stageRuns, func(sc *obs.Scope, i int) {
 			count.Trees(a, 24, count.Options{
-				Epsilon: eps, Trials: 3, Seed: seed + int64(i), Workers: w, Obs: sc,
+				Epsilon: eps, Trials: 3, Seed: seed + int64(i), MaxProcs: w, Obs: sc,
 			})
 		})
 		out.Results = append(out.Results, rec)

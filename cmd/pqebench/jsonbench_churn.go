@@ -201,7 +201,7 @@ func runJSONBenchChurn(path string, eps float64, seed int64, workers int, stdout
 		workerCounts = append(workerCounts, workers)
 	}
 	for _, w := range workerCounts {
-		estOpts := core.Options{Epsilon: eps, Trials: 1, Samples: 4, Seed: seed, Workers: w}
+		estOpts := core.Options{Epsilon: eps, Trials: 1, Samples: 4, Seed: seed, MaxProcs: w}
 		for _, n := range []int{1, 4} {
 			estSize := hBase.Size()
 			{

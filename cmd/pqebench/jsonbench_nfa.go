@@ -72,7 +72,7 @@ func runJSONBenchNFA(path string, eps float64, seed int64, workers int, stdout i
 			reg := obs.NewRegistry()
 			ops, ns, allocs, bytes := measure(func(i int) {
 				v, err := core.PathEstimate(q, d, core.Options{
-					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: obs.NewScope(nil, reg, nil),
+					Epsilon: eps, Seed: seed + int64(i), MaxProcs: w, Obs: obs.NewScope(nil, reg, nil),
 				})
 				if err != nil || v.IsZero() {
 					panic(fmt.Sprintf("PathEstimate/len=%d: err=%v v=%v", n, err, v))
@@ -82,7 +82,7 @@ func runJSONBenchNFA(path string, eps float64, seed int64, workers int, stdout i
 				fmt.Sprintf("PathEstimate/len=%d_facts=%d", n, d.Size()), w, ops, ns, allocs, bytes, reg)
 			rec.Stages = measureStages(stageRuns, func(sc *obs.Scope, i int) {
 				_, _ = core.PathEstimate(q, d, core.Options{
-					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: sc,
+					Epsilon: eps, Seed: seed + int64(i), MaxProcs: w, Obs: sc,
 				})
 			})
 			out.Results = append(out.Results, rec)
@@ -95,7 +95,7 @@ func runJSONBenchNFA(path string, eps float64, seed int64, workers int, stdout i
 			reg := obs.NewRegistry()
 			ops, ns, allocs, bytes := measure(func(i int) {
 				v, err := core.PathPQEEstimate(q, h, core.Options{
-					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: obs.NewScope(nil, reg, nil),
+					Epsilon: eps, Seed: seed + int64(i), MaxProcs: w, Obs: obs.NewScope(nil, reg, nil),
 				})
 				if err != nil || v == 0 {
 					panic(fmt.Sprintf("PathPQEEstimate: err=%v v=%v", err, v))
@@ -105,7 +105,7 @@ func runJSONBenchNFA(path string, eps float64, seed int64, workers int, stdout i
 				fmt.Sprintf("PathPQEEstimate/len=3_facts=%d", h.Size()), w, ops, ns, allocs, bytes, reg)
 			rec.Stages = measureStages(stageRuns, func(sc *obs.Scope, i int) {
 				_, _ = core.PathPQEEstimate(q, h, core.Options{
-					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: sc,
+					Epsilon: eps, Seed: seed + int64(i), MaxProcs: w, Obs: sc,
 				})
 			})
 			out.Results = append(out.Results, rec)
@@ -124,7 +124,7 @@ func runJSONBenchNFA(path string, eps float64, seed int64, workers int, stdout i
 			reg := obs.NewRegistry()
 			ops, ns, allocs, bytes := measure(func(i int) {
 				v := nfa.Count(m, d.Size(), nfa.CountOptions{
-					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: obs.NewScope(nil, reg, nil),
+					Epsilon: eps, Seed: seed + int64(i), MaxProcs: w, Obs: obs.NewScope(nil, reg, nil),
 				})
 				if v.IsZero() {
 					panic("CountNFA: estimate collapsed to zero")
@@ -134,7 +134,7 @@ func runJSONBenchNFA(path string, eps float64, seed int64, workers int, stdout i
 				fmt.Sprintf("CountNFA/path3_facts=%d", d.Size()), w, ops, ns, allocs, bytes, reg)
 			rec.Stages = measureStages(stageRuns, func(sc *obs.Scope, i int) {
 				nfa.Count(m, d.Size(), nfa.CountOptions{
-					Epsilon: eps, Seed: seed + int64(i), Workers: w, Obs: sc,
+					Epsilon: eps, Seed: seed + int64(i), MaxProcs: w, Obs: sc,
 				})
 			})
 			out.Results = append(out.Results, rec)

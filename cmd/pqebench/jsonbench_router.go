@@ -17,11 +17,11 @@ import (
 
 // routerBenchRecord is one row of BENCH_router.json. Every workload
 // appears twice — once under the cost-based router ("Routed/…",
-// Strategy auto: exact routes where they apply, anytime sequential
-// stopping on the FPRAS routes) and once with the legacy forced tree
-// FPRAS ("ForcedFPRAS/…", fixed trial schedule). The mode is part of
-// the name so the -compare matcher keys rows the same way as the other
-// suites.
+// core.Evaluate: exact routes where they apply, anytime sequential
+// stopping on the FPRAS routes) and once through the tree FPRAS alone
+// ("ForcedFPRAS/…", core.PQEEstimate on the fixed trial schedule). The
+// mode is part of the name so the -compare matcher keys rows the same
+// way as the other suites.
 type routerBenchRecord struct {
 	Name        string `json:"name"`
 	Workers     int    `json:"workers"`
@@ -116,14 +116,18 @@ func runJSONBenchRouter(path string, eps float64, seed int64, workers int, stdou
 
 	modes := []struct {
 		prefix string
-		opts   func(i int, w int) core.Options
+		eval   func(wl routerWorkload, o core.Options) (core.Result, error)
 	}{
-		{"Routed", func(i, w int) core.Options {
-			return core.Options{Epsilon: eps, Seed: seed + int64(i), Workers: w, Strategy: "auto"}
+		{"Routed", func(wl routerWorkload, o core.Options) (core.Result, error) {
+			return core.Evaluate(wl.q, wl.h, o)
 		}},
-		{"ForcedFPRAS", func(i, w int) core.Options {
-			return core.Options{Epsilon: eps, Seed: seed + int64(i), Workers: w, ForceFPRAS: true}
+		{"ForcedFPRAS", func(wl routerWorkload, o core.Options) (core.Result, error) {
+			p, err := core.PQEEstimate(wl.q, wl.h, o)
+			return core.Result{Probability: p, Method: core.MethodFPRASTree}, err
 		}},
+	}
+	opts := func(i, w int) core.Options {
+		return core.Options{Epsilon: eps, Seed: seed + int64(i), MaxProcs: w}
 	}
 
 	// ns_per_op at workers=1 per (workload, mode), for the speedup
@@ -138,16 +142,16 @@ func runJSONBenchRouter(path string, eps float64, seed int64, workers int, stdou
 			for _, m := range modes {
 				var last core.Result
 				ops, ns, allocs, bytes := measure(func(i int) {
-					res, err := core.Evaluate(wl.q, wl.h, m.opts(i, w))
+					res, err := m.eval(wl, opts(i, w))
 					if err != nil || res.Probability <= 0 {
 						panic(fmt.Sprintf("%s/%s: err=%v p=%v", m.prefix, wl.name, err, res.Probability))
 					}
 					last = res
 				})
 				trials := measureTrials(trialRuns, func(sc *obs.Scope, i int) {
-					o := m.opts(i, w)
+					o := opts(i, w)
 					o.Obs = sc
-					_, _ = core.Evaluate(wl.q, wl.h, o)
+					_, _ = m.eval(wl, o)
 				})
 				if w == 1 {
 					baseNs[m.prefix][wl.name] = ns

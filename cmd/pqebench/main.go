@@ -43,8 +43,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed           = fs.Int64("seed", 1, "random seed")
 		quick          = fs.Bool("quick", false, "shrink sweeps for a fast pass")
 		markdown       = fs.Bool("markdown", false, "emit GitHub-flavored markdown")
-		maxprocs       = fs.Int("maxprocs", 0, "workers of the counting engines' unified scheduler (default: -workers)")
-		workers        = fs.Int("workers", runtime.NumCPU(), "deprecated alias for -maxprocs")
+		maxprocs       = fs.Int("maxprocs", runtime.NumCPU(), "workers of the counting engines' unified scheduler")
 		compare        = fs.Bool("compare", false, "compare two bench JSON files given as positional args: per-row ns_per_op/allocs deltas and a geomean summary")
 		maxRegress     = fs.Float64("max-regress", 0, "with -compare, exit non-zero if any row's ns_per_op regresses by more than this fraction (0 disables; 0.25 = 25%)")
 		jsonOut        = fs.Bool("json", false, "run the CountNFTA + CountNFA micro-benchmarks and write -json-out / -json-nfa-out instead of experiment tables")
@@ -60,19 +59,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	// Out-of-range numerics fail loudly instead of silently clamping.
-	if err := flagcheck.NonNegative("maxprocs", *maxprocs); err != nil {
-		return err
-	}
-	if err := flagcheck.Positive("workers", *workers); err != nil {
+	if err := flagcheck.Positive("maxprocs", *maxprocs); err != nil {
 		return err
 	}
 	if err := flagcheck.Positive("shard-workers", *shardWorkers); err != nil {
 		return err
-	}
-
-	procs := *maxprocs
-	if procs <= 0 {
-		procs = *workers
 	}
 
 	if *compare {
@@ -91,22 +82,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *jsonOut {
-		if err := runJSONBench(*jsonPath, *eps, *seed, procs, stdout); err != nil {
+		if err := runJSONBench(*jsonPath, *eps, *seed, *maxprocs, stdout); err != nil {
 			return err
 		}
-		if err := runJSONBenchNFA(*jsonNFAPath, *eps, *seed, procs, stdout); err != nil {
+		if err := runJSONBenchNFA(*jsonNFAPath, *eps, *seed, *maxprocs, stdout); err != nil {
 			return err
 		}
-		if err := runJSONBenchChurn(*jsonChurnPath, *eps, *seed, procs, stdout); err != nil {
+		if err := runJSONBenchChurn(*jsonChurnPath, *eps, *seed, *maxprocs, stdout); err != nil {
 			return err
 		}
-		if err := runJSONBenchRouter(*jsonRouterPath, *eps, *seed, procs, stdout); err != nil {
+		if err := runJSONBenchRouter(*jsonRouterPath, *eps, *seed, *maxprocs, stdout); err != nil {
 			return err
 		}
 		return runJSONBenchShard(*jsonShardPath, *eps, *seed, *shardWorkers, stdout)
 	}
 
-	opts := experiments.Opts{Epsilon: *eps, Seed: *seed, Quick: *quick, Workers: procs}
+	opts := experiments.Opts{Epsilon: *eps, Seed: *seed, Quick: *quick, MaxProcs: *maxprocs}
 	var tables []*experiments.Table
 	if strings.EqualFold(*exp, "all") {
 		tables = experiments.All(opts)

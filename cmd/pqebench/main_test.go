@@ -49,7 +49,7 @@ func TestRunJSONBench(t *testing.T) {
 	var out, errOut strings.Builder
 	if err := run([]string{"-json", "-json-out", path, "-json-nfa-out", nfaPath,
 		"-json-churn-out", churnPath, "-json-router-out", routerPath,
-		"-json-shard-out", shardPath, "-workers", "2"}, &out, &errOut); err != nil {
+		"-json-shard-out", shardPath, "-maxprocs", "2"}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -267,7 +267,7 @@ func TestRunRejectsBadNumericFlags(t *testing.T) {
 		args []string
 	}{
 		{"maxprocs", []string{"-maxprocs", "-1"}},
-		{"workers", []string{"-workers", "0"}},
+		{"maxprocs", []string{"-maxprocs", "0"}},
 		{"shard-workers", []string{"-shard-workers", "0"}},
 		{"shard-workers", []string{"-shard-workers", "-2"}},
 	} {

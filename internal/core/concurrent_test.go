@@ -46,7 +46,7 @@ func concurrentOps() []estimatorOp {
 		{"count-trials", func(e *Estimator, seed int64) (string, error) {
 			// The plan's geometry comes from the session itself, so a
 			// delta between bursts re-resolves it like a coordinator would.
-			r, err := e.Explain(Options{ForceFPRAS: true})
+			r, err := e.Explain(Options{Strategy: "force-nfta"})
 			if err != nil {
 				return "", err
 			}

@@ -43,36 +43,25 @@ type Options struct {
 	Seed int64
 	// MaxWidth caps the hypertree width searched for. 0 means |Q|.
 	MaxWidth int
-	// ForceFPRAS disables safe-plan routing in Evaluate, forcing the
-	// automaton pipeline even for safe queries.
-	ForceFPRAS bool
-	// Strategy selects how Evaluate routes. "" keeps the legacy routing
-	// (safe → safe plan, else tree FPRAS). "auto" enables the full
-	// cost-based router of internal/router — Table 1 classification plus
-	// a small-lineage exact route — and anytime sequential stopping in
-	// the FPRAS engines. "force-<engine>" (safeplan, obdd, lineage,
-	// nfta, nfa, montecarlo) pins one strategy unconditionally.
+	// Strategy selects how Evaluate routes: "" (the session's Strategy,
+	// else "auto") runs the cost-based router of internal/router —
+	// Table 1 classification plus a small-lineage exact route;
+	// "force-<engine>" (safeplan, obdd, lineage, nfta, nfa, montecarlo)
+	// pins one strategy unconditionally. A routed call's FPRAS engines
+	// always stop sequentially (anytime). The direct entry points
+	// (PQEEstimate, UREstimate, PathEstimate, PathPQEEstimate) do not
+	// route; a non-empty Strategy there only selects the anytime
+	// schedule.
 	Strategy string
 	// Delta is the anytime stopping certificate's failure-probability
 	// target in (0,1); ≤ 0 uses the engines' default. Setting it > 0
-	// also enables sequential stopping under the legacy ("" Strategy)
-	// routing.
+	// also enables sequential stopping in the direct entry points.
 	Delta float64
 	// MaxProcs bounds the workers of the counters' unified scheduler,
 	// which dispatches whole trials and chunks of their overlap-sampling
-	// loops (0 derives the count from the deprecated Parallel/Workers
-	// pair). Results are identical across MaxProcs settings for a fixed
-	// Seed.
+	// loops (0 means 1). Results are identical across MaxProcs settings
+	// for a fixed Seed.
 	MaxProcs int
-	// Parallel runs the counters' independent trials concurrently.
-	//
-	// Deprecated: set MaxProcs.
-	Parallel bool
-	// Workers bounds the goroutines drawing overlap samples inside each
-	// counting trial (0 or 1 = sequential).
-	//
-	// Deprecated: set MaxProcs.
-	Workers int
 	// Obs, when non-nil, attaches the unified telemetry sinks to the
 	// pipeline: stage spans for every construction and counting phase,
 	// registry counters (pqe_build_* plus the engines' countnfta_* /
@@ -105,9 +94,9 @@ func (o Options) ctxErr() error {
 }
 
 // anytime reports whether the FPRAS counting calls use sequential
-// stopping: always under strategy routing, opt-in via Delta under the
-// legacy routing (so default-options runs keep their fixed schedule and
-// stay bit-identical to previous releases).
+// stopping: always on a routed Evaluate (which sets Strategy before
+// counting), and in the direct entry points when Strategy or Delta is
+// set (so their default-options runs keep the fixed schedule).
 func (o Options) anytime() bool { return o.Strategy != "" || o.Delta > 0 }
 
 func (o Options) countOptions(sc *obs.Scope) count.Options {
@@ -119,8 +108,6 @@ func (o Options) countOptions(sc *obs.Scope) count.Options {
 		Anytime:  o.anytime(),
 		Delta:    o.Delta,
 		MaxProcs: o.MaxProcs,
-		Parallel: o.Parallel,
-		Workers:  o.Workers,
 		Obs:      sc,
 		Ctx:      o.Ctx,
 	}
@@ -135,8 +122,6 @@ func (o Options) nfaOptions(sc *obs.Scope) nfa.CountOptions {
 		Anytime:  o.anytime(),
 		Delta:    o.Delta,
 		MaxProcs: o.MaxProcs,
-		Parallel: o.Parallel,
-		Workers:  o.Workers,
 		Obs:      sc,
 		Ctx:      o.Ctx,
 	}
@@ -230,7 +215,7 @@ type Result struct {
 	Exact       bool
 	Method      Method
 	Class       Classification
-	// Reason explains the routing decision (strategy routing only).
+	// Reason explains the routing decision.
 	Reason string
 
 	// trialsSaved is how many trials the FPRAS engine's anytime
@@ -238,10 +223,12 @@ type Result struct {
 	trialsSaved int
 }
 
-// Evaluate routes a query to the best applicable algorithm, mirroring
-// Table 1: safe SJF queries get the exact safe plan; unsafe SJF queries
-// of bounded width get the combined-complexity FPRAS; the rest is
-// unsupported (open).
+// Evaluate routes a query to the best applicable algorithm through
+// internal/router, mirroring Table 1: safe SJF queries get the exact
+// safe plan, provably small lineages exact weighted model counting,
+// unsafe SJF queries of bounded width the combined-complexity FPRAS
+// (the path NFA for paths, the NFTA otherwise); the rest is
+// unsupported (open). opts.Strategy "force-<engine>" pins one engine.
 func Evaluate(q *cq.Query, h *pdb.Probabilistic, opts Options) (Result, error) {
 	return NewEstimator(q, h, opts).Evaluate(opts)
 }

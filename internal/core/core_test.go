@@ -156,17 +156,24 @@ func TestEvaluateRoutesSafeToExact(t *testing.T) {
 }
 
 func TestEvaluateRoutesUnsafeToFPRAS(t *testing.T) {
-	q := cq.PathQuery("R", 3) // non-hierarchical: #P-hard, FPRAS applies
-	h := gen.Instance(q, gen.Config{FactsPerRelation: 2, DomainSize: 3, Seed: 3})
+	// Non-hierarchical, so #P-hard, and 10 facts per relation put the
+	// witness bound (1000) past the exact-lineage route: the zero
+	// Options route it to the path FPRAS. The exact answer comes from
+	// lineage WMC.
+	q := cq.PathQuery("R", 3)
+	h := gen.Instance(q, gen.Config{FactsPerRelation: 10, DomainSize: 4, Seed: 13})
 	res, err := Evaluate(q, h, Options{Epsilon: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Exact || res.Method != MethodFPRASTree {
+	if res.Exact || res.Method != MethodFPRASPath {
 		t.Errorf("unsafe query routed to %v", res.Method)
 	}
-	want, _ := exact.MustPQE(q, h).Float64()
-	if want > 0 {
+	ex, err := Evaluate(q, h, Options{Strategy: "force-obdd"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ex.Probability; want > 0 {
 		ratio := res.Probability / want
 		if ratio < 0.75 || ratio > 1.25 {
 			t.Errorf("probability %v, want ≈ %v", res.Probability, want)
@@ -177,12 +184,12 @@ func TestEvaluateRoutesUnsafeToFPRAS(t *testing.T) {
 func TestEvaluateForceFPRAS(t *testing.T) {
 	q := cq.StarQuery("R", 2)
 	h := gen.Instance(q, gen.Config{FactsPerRelation: 2, DomainSize: 3, Seed: 4})
-	res, err := Evaluate(q, h, Options{Epsilon: 0.1, Seed: 1, ForceFPRAS: true})
+	res, err := Evaluate(q, h, Options{Epsilon: 0.1, Seed: 1, Strategy: "force-nfta"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Method != MethodFPRASTree {
-		t.Errorf("ForceFPRAS routed to %v", res.Method)
+		t.Errorf("force-nfta routed the safe query to %v", res.Method)
 	}
 }
 
@@ -190,7 +197,9 @@ func TestEvaluateRejectsSelfJoins(t *testing.T) {
 	q := cq.MustParse("R(x,y), R(y,z)")
 	h := pdb.Empty()
 	h.Add(pdb.NewFact("R", "a", "b"), pdb.ProbHalf)
-	_, err := Evaluate(q, h, Options{})
+	// The tree FPRAS refuses the self-join (the router's auto rule would
+	// answer this tiny instance exactly through its lineage).
+	_, err := Evaluate(q, h, Options{Strategy: "force-nfta"})
 	if !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v, want ErrUnsupported", err)
 	}
@@ -371,7 +380,7 @@ func TestExplainSafeRoute(t *testing.T) {
 func TestExplainFPRASRoute(t *testing.T) {
 	q := cq.PathQuery("R", 3)
 	h := gen.SparsePathInstance(q, 2, 1, gen.ProbRandomRational, 2)
-	r, err := Explain(q, h, Options{})
+	r, err := Explain(q, h, Options{Strategy: "force-nfta"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,9 +402,13 @@ func TestExplainFPRASRoute(t *testing.T) {
 }
 
 func TestExplainUnsupported(t *testing.T) {
+	// A self-join whose lineage is too large for the exact route: the
+	// router has no engine for it.
 	q := cq.MustParse("R(x,y), R(y,z)")
 	h := pdb.Empty()
-	h.Add(pdb.NewFact("R", "a", "b"), pdb.ProbHalf)
+	for i := 0; i < 40; i++ {
+		h.Add(pdb.NewFact("R", string(rune('a'+i)), string(rune('b'+i))), pdb.ProbHalf)
+	}
 	if _, err := Explain(q, h, Options{}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v", err)
 	}

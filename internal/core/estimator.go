@@ -763,9 +763,9 @@ func (e *Estimator) countPathPQE(opts Options, red *reduction.PathPQEReduction) 
 
 // Evaluate routes to the best applicable algorithm (the Table 1
 // landscape), like the package-level Evaluate but over the session's
-// caches. With a Strategy set (per call or on the session) the full
-// cost-based router decides — or a forced engine runs unconditionally;
-// otherwise the legacy two-way routing below applies.
+// caches. The strategy is the call's, else the session's, else "auto":
+// the cost-based router decides, or a forced engine runs
+// unconditionally.
 //
 // Like every entry point, Evaluate resolves all it needs — the
 // classification, the decision, the chosen route's automaton — in one
@@ -780,46 +780,20 @@ func (e *Estimator) Evaluate(opts Options) (Result, error) {
 	if err := opts.ctxErr(); err != nil {
 		return Result{}, err
 	}
-	strategy := opts.Strategy
-	if strategy == "" {
-		strategy = e.opts.Strategy
-	}
-	if strategy != "" {
-		return e.evaluateRouted(strategy, opts)
-	}
-	var class Classification
-	var weighted *reduction.PQEReduction
-	werr := e.build(opts, func() (err error) {
-		class = e.classification()
-		if !e.safeRoute(class, opts) && class.SelfJoinFree && class.BoundedHW {
-			weighted, err = e.pqeReduction()
-		}
-		return err
-	})
-	if e.safeRoute(class, opts) {
-		p, err := safeplan.Evaluate(e.q, e.h)
-		if err != nil {
-			return Result{}, err
-		}
-		f, _ := p.Float64()
-		return Result{Probability: f, Exact: true, Method: MethodSafePlan, Class: class}, nil
-	}
-	if !class.SelfJoinFree || !class.BoundedHW {
-		return Result{Class: class}, fmt.Errorf("%w: %q (self-join-free=%v, bounded-width=%v)",
-			ErrUnsupported, e.q, class.SelfJoinFree, class.BoundedHW)
-	}
-	if werr != nil {
-		return Result{Class: class}, werr
-	}
-	res, err := e.countPQE(opts, weighted)
-	res.Class = class
-	return res, err
+	opts.Strategy = e.strategy(opts)
+	return e.evaluateRouted(opts)
 }
 
-// safeRoute reports whether the legacy routing answers with the safe
-// plan.
-func (e *Estimator) safeRoute(class Classification, opts Options) bool {
-	return class.Safe && !opts.ForceFPRAS && !e.opts.ForceFPRAS
+// strategy resolves a call's routing strategy: the call's, else the
+// session's, else "auto".
+func (e *Estimator) strategy(opts Options) string {
+	switch {
+	case opts.Strategy != "":
+		return opts.Strategy
+	case e.opts.Strategy != "":
+		return e.opts.Strategy
+	}
+	return "auto"
 }
 
 // SampleSatisfying draws a near-uniform satisfying subinstance through

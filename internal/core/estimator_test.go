@@ -56,7 +56,7 @@ func TestEstimatorCachesConstruction(t *testing.T) {
 	if _, err := est.PathEstimate(opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := est.Evaluate(Options{Epsilon: 0.2, Trials: 3, Seed: 5, ForceFPRAS: true}); err != nil {
+	if _, err := est.Evaluate(Options{Epsilon: 0.2, Trials: 3, Seed: 5, Strategy: "force-nfta"}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -18,7 +18,7 @@ type Report struct {
 	Query         string
 	Class         Classification
 	Route         Method
-	Reason        string // routing rationale (strategy routing only)
+	Reason        string // routing rationale
 	Decomposition string // pretty-printed, FPRAS route only
 	// Automaton sizes (FPRAS route only).
 	AugSize          int // augmented NFTA encoding size
@@ -55,45 +55,31 @@ func (e *Estimator) Explain(opts Options) (*Report, error) {
 func (e *Estimator) explain(opts Options) (*Report, error) {
 	class := e.classification()
 	r := &Report{Query: e.q.String(), Class: class}
-	strategy := opts.Strategy
-	if strategy == "" {
-		strategy = e.opts.Strategy
+	dec, err := e.decideStrategy(e.strategy(opts))
+	if err != nil {
+		return r, err
 	}
-	if strategy != "" {
-		dec, err := e.decideStrategy(strategy)
-		if err != nil {
-			return r, err
-		}
-		r.Reason = dec.Reason
-		switch dec.Strategy {
-		case router.SafePlan:
-			r.Route = MethodSafePlan
-			return r, nil
-		case router.OBDD:
-			r.Route = MethodOBDD
-			return r, nil
-		case router.Lineage:
-			r.Route = MethodLineage
-			return r, nil
-		case router.MonteCarlo:
-			r.Route = MethodMonteCarlo
-			return r, nil
-		case router.PathNFA:
-			r.Route = MethodFPRASPath
-			return r, nil
-		case router.NFTA:
-			// Fall through to the FPRAS plan details below.
-		default:
-			return r, fmt.Errorf("%w: %q (%s)", ErrUnsupported, e.q, dec.Reason)
-		}
-	} else {
-		if class.Safe && !opts.ForceFPRAS && !e.opts.ForceFPRAS {
-			r.Route = MethodSafePlan
-			return r, nil
-		}
-		if !class.SelfJoinFree || !class.BoundedHW {
-			return r, fmt.Errorf("%w: %q", ErrUnsupported, e.q)
-		}
+	r.Reason = dec.Reason
+	switch dec.Strategy {
+	case router.SafePlan:
+		r.Route = MethodSafePlan
+		return r, nil
+	case router.OBDD:
+		r.Route = MethodOBDD
+		return r, nil
+	case router.Lineage:
+		r.Route = MethodLineage
+		return r, nil
+	case router.MonteCarlo:
+		r.Route = MethodMonteCarlo
+		return r, nil
+	case router.PathNFA:
+		r.Route = MethodFPRASPath
+		return r, nil
+	case router.NFTA:
+		// Fall through to the FPRAS plan details below.
+	default:
+		return r, fmt.Errorf("%w: %q (%s)", ErrUnsupported, e.q, dec.Reason)
 	}
 	r.Route = MethodFPRASTree
 

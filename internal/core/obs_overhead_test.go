@@ -19,7 +19,7 @@ import (
 func TestObsDoesNotPerturbResults(t *testing.T) {
 	q, h := pathInstance(t)
 	d := h.DB()
-	opts := Options{Epsilon: 0.3, Seed: 11, Workers: 2}
+	opts := Options{Epsilon: 0.3, Seed: 11, MaxProcs: 2}
 	withObs := opts
 	// The instrumented run carries every observational facet at once:
 	// sinks, a request ID, a phase accumulator, and a live runtime
@@ -173,18 +173,18 @@ func TestObsTimedWorkersDeterministic(t *testing.T) {
 	add("R3", "d", "e", 1, 2)
 	d := h.DB()
 
-	for _, workers := range []int{1, 4} {
-		bare, err := UREstimate(q, d, Options{Epsilon: 0.3, Seed: 3, Workers: workers})
+	for _, procs := range []int{1, 4} {
+		bare, err := UREstimate(q, d, Options{Epsilon: 0.3, Seed: 3, MaxProcs: procs})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc := obs.NewScope(nil, obs.NewRegistry(), nil)
-		timed, err := UREstimate(q, d, Options{Epsilon: 0.3, Seed: 3, Workers: workers, Obs: sc})
+		timed, err := UREstimate(q, d, Options{Epsilon: 0.3, Seed: 3, MaxProcs: procs, Obs: sc})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if bare != timed {
-			t.Errorf("workers=%d: registry-timed run drifted: %v vs %v", workers, bare, timed)
+			t.Errorf("MaxProcs=%d: registry-timed run drifted: %v vs %v", procs, bare, timed)
 		}
 	}
 }

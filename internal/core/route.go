@@ -91,17 +91,17 @@ func (e *Estimator) resolveRoute(dec router.Decision) routeArtifacts {
 	return a
 }
 
-// evaluateRouted is the strategy-routing arm of Evaluate: resolve the
-// decision and its route's artifacts, emit the dispatch telemetry, run
-// the chosen engine, and attribute the trials the anytime certificate
-// saved. The saved count is the trial driver's own Result of this call
-// — local or sharded — so it is exact when concurrent calls share one
-// registry.
-func (e *Estimator) evaluateRouted(strategy string, opts Options) (Result, error) {
+// evaluateRouted is the body of Evaluate once opts.Strategy is
+// resolved: decide the route and resolve its artifacts, emit the
+// dispatch telemetry, run the chosen engine, and attribute the trials
+// the anytime certificate saved. The saved count is the trial driver's
+// own Result of this call — local or sharded — so it is exact when
+// concurrent calls share one registry.
+func (e *Estimator) evaluateRouted(opts Options) (Result, error) {
 	var dec router.Decision
 	var art routeArtifacts
 	err := e.build(opts, func() (err error) {
-		if dec, err = e.decideStrategy(strategy); err == nil {
+		if dec, err = e.decideStrategy(opts.Strategy); err == nil {
 			art = e.resolveRoute(dec)
 		}
 		return err

@@ -129,7 +129,7 @@ func TestRoutedRejectsOpenCells(t *testing.T) {
 func TestRoutedSelfJoinSmallLineageIsExact(t *testing.T) {
 	// Self-joins are an open cell for the FPRAS, but a small instance is
 	// still exactly solvable through the lineage — the router recovers
-	// what the legacy routing rejected.
+	// what the tree FPRAS (force-nfta) rejects.
 	q := cq.MustParse("R(x,y), R(y,z)")
 	h := pdb.Empty()
 	h.Add(pdb.NewFact("R", "a", "b"), pdb.ProbHalf)
@@ -233,16 +233,40 @@ func TestRoutedDecisionMemoizedAndInvalidated(t *testing.T) {
 	}
 }
 
-func TestLegacyDefaultUnchangedByRouter(t *testing.T) {
-	// The zero Options keep the legacy two-way routing — the back-compat
-	// contract of the Strategy knob.
-	q := cq.PathQuery("R", 3)
-	h := gen.Instance(q, gen.Config{FactsPerRelation: 2, DomainSize: 3, Seed: 3})
-	res, err := Evaluate(q, h, Options{Epsilon: 0.1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Method != MethodFPRASTree {
-		t.Errorf("legacy default routed to %v, want tree FPRAS", res.Method)
+// A routed Evaluate runs the anytime schedule however its strategy
+// was resolved: set on the session, set on the call, or left empty
+// (which means "auto"). The three calls must agree bit for bit and in
+// the trials the engines ran, and the anytime certificate must fire
+// before the 15-trial cap.
+func TestSessionStrategyRunsAnytimeSchedule(t *testing.T) {
+	for _, sh := range goldenShapes()[:2] { // path3-half, triangle-half
+		call := Options{Epsilon: 0.3, Trials: 15, Seed: 1, MaxProcs: 1}
+		run := func(session, perCall string) (uint64, int64) {
+			reg := obs.NewRegistry()
+			o := call
+			o.Strategy = perCall
+			o.Obs = obs.NewScope(nil, reg, nil)
+			res, err := NewEstimator(sh.q, sh.h, Options{Strategy: session}).Evaluate(o)
+			if err != nil {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+			trials := reg.Counter("countnfta_trials_total").Value() + reg.Counter("countnfa_trials_total").Value()
+			return math.Float64bits(res.Probability), trials
+		}
+		sessBits, sessTrials := run("auto", "")
+		callBits, callTrials := run("", "auto")
+		zeroBits, zeroTrials := run("", "")
+		if sessBits != callBits || zeroBits != callBits {
+			t.Errorf("%s: bits session %#x, per-call %#x, zero Strategy %#x; want all equal",
+				sh.name, sessBits, callBits, zeroBits)
+		}
+		if sessTrials != callTrials || zeroTrials != callTrials {
+			t.Errorf("%s: trials session %d, per-call %d, zero Strategy %d; want all equal",
+				sh.name, sessTrials, callTrials, zeroTrials)
+		}
+		if callTrials >= int64(call.Trials) {
+			t.Errorf("%s: routed call ran %d trials, want the anytime schedule to stop before %d",
+				sh.name, callTrials, call.Trials)
+		}
 	}
 }

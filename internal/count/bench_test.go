@@ -11,15 +11,15 @@ import (
 // BenchmarkCountTrees is the headline CountNFTA workload: the
 // heavy-overlap automaton keeps the union estimator in its sampling
 // loop (six redundant branches, each costing e.samples forest draws per
-// size level), which is where the Workers pool pays off.
+// size level), which is where a wider scheduler pays off.
 func BenchmarkCountTrees(b *testing.B) {
 	a := heavyOverlap()
 	const n = 24
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, procs := range []int{1, runtime.NumCPU()} {
+		b.Run(fmt.Sprintf("workers=%d", procs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				v := Trees(a, n, Options{Epsilon: 0.1, Trials: 3, Seed: int64(i + 1), Workers: workers})
+				v := Trees(a, n, Options{Epsilon: 0.1, Trials: 3, Seed: int64(i + 1), MaxProcs: procs})
 				if v.IsZero() {
 					b.Fatal("estimate collapsed to zero")
 				}

@@ -265,7 +265,7 @@ func TestQuickSamplesValid(t *testing.T) {
 func TestTreesParallelMatchesSequential(t *testing.T) {
 	a := fullBinary()
 	seq := Trees(a, 11, Options{Epsilon: 0.1, Trials: 5, Seed: 42})
-	par := Trees(a, 11, Options{Epsilon: 0.1, Trials: 5, Seed: 42, Parallel: true})
+	par := Trees(a, 11, Options{Epsilon: 0.1, Trials: 5, Seed: 42, MaxProcs: 5})
 	if seq.Cmp(par) != 0 {
 		t.Errorf("parallel %v != sequential %v with the same seed", par, seq)
 	}
@@ -410,8 +410,8 @@ func heavyOverlap() *nfta.NFTA {
 	return a
 }
 
-// The doc contract on Options.Parallel and Options.Workers: for a fixed
-// seed, every combination of trial-level and intra-trial parallelism
+// The doc contract on Options.MaxProcs: for a fixed seed, every
+// scheduler width — fewer workers than trials, one per trial, or more —
 // returns bit-identical results to the sequential run.
 func TestTreesDeterministicAcrossWorkers(t *testing.T) {
 	for name, a := range map[string]*nfta.NFTA{
@@ -421,14 +421,10 @@ func TestTreesDeterministicAcrossWorkers(t *testing.T) {
 	} {
 		n := 9
 		base := Trees(a, n, Options{Epsilon: 0.1, Trials: 5, Seed: 42})
-		for _, workers := range []int{1, 4, 8} {
-			got := Trees(a, n, Options{Epsilon: 0.1, Trials: 5, Seed: 42, Parallel: true, Workers: workers})
+		for _, procs := range []int{1, 4, 5, 8} {
+			got := Trees(a, n, Options{Epsilon: 0.1, Trials: 5, Seed: 42, MaxProcs: procs})
 			if base.Cmp(got) != 0 {
-				t.Errorf("%s: Workers=%d Parallel=true gave %v, sequential %v", name, workers, got, base)
-			}
-			got = Trees(a, n, Options{Epsilon: 0.1, Trials: 5, Seed: 42, Workers: workers})
-			if base.Cmp(got) != 0 {
-				t.Errorf("%s: Workers=%d Parallel=false gave %v, sequential %v", name, workers, got, base)
+				t.Errorf("%s: MaxProcs=%d gave %v, sequential %v", name, procs, got, base)
 			}
 		}
 	}
@@ -444,10 +440,10 @@ func TestSampleTreeDeterministicAcrossWorkers(t *testing.T) {
 		if ref == nil {
 			t.Fatalf("%s: nil reference sample", name)
 		}
-		for _, workers := range []int{1, 4, 8} {
-			got := SampleTree(a, n, Options{Epsilon: 0.1, Seed: 7, Parallel: true, Workers: workers})
+		for _, procs := range []int{1, 4, 8} {
+			got := SampleTree(a, n, Options{Epsilon: 0.1, Seed: 7, MaxProcs: procs})
 			if got == nil || !ref.Equal(got) {
-				t.Errorf("%s: Workers=%d sample %v, sequential %v", name, workers, got, ref)
+				t.Errorf("%s: MaxProcs=%d sample %v, sequential %v", name, procs, got, ref)
 			}
 		}
 	}
@@ -456,10 +452,10 @@ func TestSampleTreeDeterministicAcrossWorkers(t *testing.T) {
 func TestCounterDeterministicAcrossWorkers(t *testing.T) {
 	a := heavyOverlap()
 	base := NewCounter(a, Options{Epsilon: 0.1, Trials: 3, Seed: 11})
-	par := NewCounter(a, Options{Epsilon: 0.1, Trials: 3, Seed: 11, Workers: 8})
+	par := NewCounter(a, Options{Epsilon: 0.1, Trials: 3, Seed: 11, MaxProcs: 8})
 	for n := 3; n <= 9; n++ {
 		if b, p := base.Count(n), par.Count(n); b.Cmp(p) != 0 {
-			t.Errorf("size %d: Workers=8 count %v, sequential %v", n, p, b)
+			t.Errorf("size %d: MaxProcs=8 count %v, sequential %v", n, p, b)
 		}
 	}
 	if b, p := base.Sample(9), par.Sample(9); !b.Equal(p) {

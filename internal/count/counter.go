@@ -29,7 +29,7 @@ func NewCounter(a *nfta.NFTA, opts Options) *Counter {
 	checkLambda(a)
 	opts = opts.withDefaults()
 	pl, _ := planFor(a)
-	c := &Counter{a: a, pl: pl, procs: opts.procs, call: newCallState(pl, opts.procs)}
+	c := &Counter{a: a, pl: pl, procs: opts.MaxProcs, call: newCallState(pl, opts.MaxProcs)}
 	for _, seed := range opts.schedule().Seeds() {
 		c.trials = append(c.trials, pl.getRun(opts, seed))
 	}

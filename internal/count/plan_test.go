@@ -75,24 +75,18 @@ func TestConcurrentSessionsSharePlan(t *testing.T) {
 	}
 }
 
-// The MaxProcs knob must honor the same bit-identity contract as the
-// deprecated Workers/Parallel pair, including mixed settings.
+// The MaxProcs knob's bit-identity contract on random automata.
 func TestTreesDeterministicAcrossMaxProcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 6; trial++ {
 		a := randomNFTA(rng)
 		n := 2 + rng.Intn(6)
 		base := Trees(a, n, Options{Epsilon: 0.2, Trials: 3, Seed: 11})
-		for _, procs := range []int{1, 2, 8} {
+		for _, procs := range []int{1, 2, 3, 8} {
 			got := Trees(a, n, Options{Epsilon: 0.2, Trials: 3, Seed: 11, MaxProcs: procs})
 			if got.Cmp(base) != 0 {
 				t.Fatalf("trial %d: MaxProcs=%d gave %v, want %v", trial, procs, got, base)
 			}
-		}
-		// MaxProcs overrides the deprecated pair when both are set.
-		got := Trees(a, n, Options{Epsilon: 0.2, Trials: 3, Seed: 11, MaxProcs: 3, Workers: 5, Parallel: true})
-		if got.Cmp(base) != 0 {
-			t.Fatalf("trial %d: mixed MaxProcs/Workers gave %v, want %v", trial, got, base)
 		}
 	}
 }

@@ -36,7 +36,7 @@ func E2Path(o Opts) *Table {
 		d := h.DB()
 		want, _ := new(big.Float).SetInt(exact.MustUR(q, d)).Float64()
 		start := time.Now()
-		got, err := core.PathEstimate(q, d, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, Workers: o.Workers})
+		got, err := core.PathEstimate(q, d, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, MaxProcs: o.MaxProcs})
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Add(fmt.Sprint(n), fmt.Sprint(d.Size()), "—", "error: "+err.Error(), "—", "—")
@@ -81,7 +81,7 @@ func E3UR(o Opts) *Table {
 		d := h.DB()
 		want, _ := new(big.Float).SetInt(exact.MustUR(q, d)).Float64()
 		start := time.Now()
-		got, err := core.UREstimate(q, d, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, Workers: o.Workers})
+		got, err := core.UREstimate(q, d, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, MaxProcs: o.MaxProcs})
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Add(q.String(), fmt.Sprint(class.Width), fmt.Sprint(d.Size()), "—", "error: "+err.Error(), "—", "—")
@@ -127,7 +127,7 @@ func E4PQE(o Opts) *Table {
 			}
 		}
 		start := time.Now()
-		got, err := core.PQEEstimate(q, h, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, Workers: o.Workers})
+		got, err := core.PQEEstimate(q, h, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, MaxProcs: o.MaxProcs})
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Add(q.String(), fmt.Sprint(h.Size()), treeSize, "—", "error: "+err.Error(), "—", "—")
@@ -168,7 +168,7 @@ func E9Safe(o Opts) *Table {
 		}
 		planF, _ := plan.Float64()
 		bf, _ := exact.MustPQE(q, h).Float64()
-		fpras, err := core.PQEEstimate(q, h, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, Workers: o.Workers})
+		fpras, err := core.PQEEstimate(q, h, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, MaxProcs: o.MaxProcs})
 		fprasStr := "—"
 		fprasErr := "—"
 		if err == nil {

@@ -34,11 +34,11 @@ func E10Pipeline(o Opts) *Table {
 		want, _ := exact.MustPQE(q, h).Float64()
 
 		start := time.Now()
-		tree, errTree := core.PQEEstimate(q, h, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, Workers: o.Workers})
+		tree, errTree := core.PQEEstimate(q, h, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, MaxProcs: o.MaxProcs})
 		treeTime := time.Since(start)
 
 		start = time.Now()
-		str, errStr := core.PathPQEEstimate(q, h, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, Workers: o.Workers})
+		str, errStr := core.PathPQEEstimate(q, h, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, MaxProcs: o.MaxProcs})
 		strTime := time.Since(start)
 
 		treeEst, treeErr := "—", "—"

@@ -43,7 +43,7 @@ func E11SmallProb(o Opts) *Table {
 		mcTime := time.Since(start)
 
 		start = time.Now()
-		fpras, err := core.PQEEstimate(q, h, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, Workers: o.Workers})
+		fpras, err := core.PQEEstimate(q, h, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, MaxProcs: o.MaxProcs})
 		fprasTime := time.Since(start)
 		fprasStr, fprasErr := "—", "—"
 		if err == nil {

@@ -129,10 +129,10 @@ type Opts struct {
 	Seed int64
 	// Quick shrinks sweeps for use inside testing.B benchmarks.
 	Quick bool
-	// Workers bounds the goroutines used inside each counting trial
-	// (0 or 1 = sequential). Results are Workers-independent for a
-	// fixed Seed.
-	Workers int
+	// MaxProcs bounds the counting engines' scheduler workers (0 or
+	// 1 = sequential). Results are MaxProcs-independent for a fixed
+	// Seed.
+	MaxProcs int
 }
 
 func (o Opts) withDefaults() Opts {

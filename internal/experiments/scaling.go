@@ -95,7 +95,7 @@ func E6ScaleDB(o Opts) *Table {
 			continue
 		}
 		start = time.Now()
-		got, err := core.UREstimate(q, d, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, Workers: o.Workers})
+		got, err := core.UREstimate(q, d, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, MaxProcs: o.MaxProcs})
 		countTime := time.Since(start)
 		if err != nil {
 			t.Add(fmt.Sprint(d.Size()), ms(buildTime), "error: "+err.Error(), "—", "—")
@@ -133,7 +133,7 @@ func E7ScaleEps(o Opts) *Table {
 	}
 	for _, eps := range epss {
 		start := time.Now()
-		got, err := core.PQEEstimate(q, h, core.Options{Epsilon: eps, Seed: o.Seed, Workers: o.Workers})
+		got, err := core.PQEEstimate(q, h, core.Options{Epsilon: eps, Seed: o.Seed, MaxProcs: o.MaxProcs})
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Add(fmt.Sprint(eps), "error: "+err.Error(), "—", "—", "—", "—")
@@ -194,7 +194,7 @@ func E8KarpLuby(o Opts) *Table {
 		}
 
 		start = time.Now()
-		fpras, err := core.PQEEstimate(q, h, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, Workers: o.Workers})
+		fpras, err := core.PQEEstimate(q, h, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, MaxProcs: o.MaxProcs})
 		fprasTime := time.Since(start)
 		fprasStr := "—"
 		if err == nil {

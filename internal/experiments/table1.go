@@ -26,18 +26,23 @@ func Table1(o Opts) *Table {
 		Header: []string{"query", "bounded-HW", "SJF", "safe", "prior (data)", "this work (combined)", "measured", "exact", "status"},
 	}
 
+	// Each row pins the algorithm its Table 1 cell prescribes: the safe
+	// plan for the safe row, the tree FPRAS for the rest (which refuses
+	// the open cells). The auto router would answer these tiny
+	// instances by exact lineage counting instead.
 	type row struct {
 		name     string
 		q        *cq.Query
 		prior    string
 		maxWidth int // 0 = unlimited; a cap simulates "outside the bounded-HW class"
+		strategy string
 	}
 	rows := []row{
-		{"star S1(x,y1),S2(x,y2)", cq.StarQuery("S", 2), "FP [10]", 0},
-		{"3-path R1..R3", cq.PathQuery("R", 3), "#P-hard [10]", 0},
-		{"triangle C1..C3 (width 2 allowed)", cq.CycleQuery("C", 3), "#P-hard [10]", 0},
-		{"triangle C1..C3 (width capped at 1)", cq.CycleQuery("C", 3), "FP if safe [10]", 1},
-		{"self-join R(x,y),R(y,z)", cq.MustParse("R(x,y), R(y,z)"), "depends [11]", 0},
+		{"star S1(x,y1),S2(x,y2)", cq.StarQuery("S", 2), "FP [10]", 0, "force-safeplan"},
+		{"3-path R1..R3", cq.PathQuery("R", 3), "#P-hard [10]", 0, "force-nfta"},
+		{"triangle C1..C3 (width 2 allowed)", cq.CycleQuery("C", 3), "#P-hard [10]", 0, "force-nfta"},
+		{"triangle C1..C3 (width capped at 1)", cq.CycleQuery("C", 3), "FP if safe [10]", 1, "force-nfta"},
+		{"self-join R(x,y),R(y,z)", cq.MustParse("R(x,y), R(y,z)"), "depends [11]", 0, "force-nfta"},
 	}
 
 	for _, r := range rows {
@@ -49,13 +54,12 @@ func Table1(o Opts) *Table {
 			Model: gen.ProbRandomRational, Seed: o.Seed,
 		})
 		var measured, status, ours string
-		res, err := core.Evaluate(r.q, h, core.Options{Epsilon: o.Epsilon, Seed: o.Seed, Workers: o.Workers, MaxWidth: r.maxWidth})
+		res, err := core.Evaluate(r.q, h, core.Options{
+			Epsilon: o.Epsilon, Seed: o.Seed, MaxProcs: o.MaxProcs, MaxWidth: r.maxWidth, Strategy: r.strategy,
+		})
 		switch {
-		case err == nil && res.Exact:
-			ours = "exact (safe plan)"
-			measured = fmt.Sprintf("%.6f", res.Probability)
 		case err == nil:
-			ours = "FPRAS (Thm 1)"
+			ours = string(res.Method)
 			measured = fmt.Sprintf("%.6f", res.Probability)
 		case errors.Is(err, core.ErrUnsupported):
 			ours = "open"

@@ -51,18 +51,9 @@ type CountOptions struct {
 	// MaxProcs bounds the workers of the call's unified scheduler, which
 	// dispatches whole trials and, within them, chunks of the
 	// overlap-sampling loops (work-stealing, so a straggler trial never
-	// leaves workers idle). 0 derives the count from the deprecated
-	// Parallel/Workers pair; every setting returns bit-identical results
-	// for a fixed seed.
+	// leaves workers idle). 0 means 1; every setting returns
+	// bit-identical results for a fixed seed.
 	MaxProcs int
-	// Parallel requests trial-level parallelism.
-	//
-	// Deprecated: set MaxProcs. Parallel maps to MaxProcs = Trials.
-	Parallel bool
-	// Workers requests intra-trial sampling parallelism.
-	//
-	// Deprecated: set MaxProcs. Workers > 1 maps to MaxProcs = Workers.
-	Workers int
 	// Obs, when non-nil, receives the unified telemetry of every call:
 	// a count.nfa span with per-trial child spans, countnfa_* registry
 	// counters (memo hits/misses, interner sizes, acceptance checks,
@@ -78,9 +69,6 @@ type CountOptions struct {
 	// must check Ctx.Err() and discard it (internal/core does). A nil Ctx
 	// (the default) never cancels and adds no per-sample cost.
 	Ctx context.Context
-
-	// procs is the resolved scheduler width, filled by withDefaults.
-	procs int
 }
 
 // schedule is the call's trial schedule, defaulted.
@@ -98,7 +86,7 @@ func (o CountOptions) schedule() trial.Schedule {
 func (o CountOptions) withDefaults() CountOptions {
 	s := o.schedule()
 	o.Epsilon, o.Trials, o.Samples, o.Seed = s.Epsilon, s.Trials, s.Samples, s.Seed
-	o.procs = sched.Resolve(o.MaxProcs, o.Workers, o.Parallel, o.Trials)
+	o.MaxProcs = max(o.MaxProcs, 1)
 	return o
 }
 
@@ -176,10 +164,10 @@ type counting struct {
 // snapshotted.
 func begin(m *NFA, n int, opts CountOptions, name string) *counting {
 	pl, planHit := planFor(m)
-	c := &counting{pl: pl, planHit: planHit, call: newCallState(pl, opts.procs)}
+	c := &counting{pl: pl, planHit: planHit, call: newCallState(pl, opts.MaxProcs)}
 	c.Call = trial.Open(opts.Obs, trial.CallConfig{
 		Engine: "countnfa", Span: name, Schedule: opts.schedule(),
-		Procs: opts.procs, Labels: schedLabels, Ctx: opts.Ctx, N: n, States: m.numStates,
+		Procs: opts.MaxProcs, Labels: schedLabels, Ctx: opts.Ctx, N: n, States: m.numStates,
 	}, func(w *sched.Worker, seed int64) (efloat.E, trialStats) {
 		r := pl.getRun(opts, seed)
 		r.w, r.call = w, c.call
@@ -425,11 +413,11 @@ var freshKernel = (*sampler).countFresh
 func SampleWord(m *NFA, n int, opts CountOptions) []int {
 	opts = opts.withDefaults()
 	pl, _ := planFor(m)
-	call := newCallState(pl, opts.procs)
+	call := newCallState(pl, opts.MaxProcs)
 	seed := trial.Schedule{Trials: 1, Seed: opts.Seed}.Seeds()[0]
 	var r *wordRun
 	var word []int
-	sched.Run(sched.Config{Procs: opts.procs, Trials: 1, Labels: schedLabels}, func(w *sched.Worker, _ int) {
+	sched.Run(sched.Config{Procs: opts.MaxProcs, Trials: 1, Labels: schedLabels}, func(w *sched.Worker, _ int) {
 		r = pl.getRun(opts, seed)
 		r.w, r.call = w, call
 		r.ensurePfx(n)

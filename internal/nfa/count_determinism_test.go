@@ -8,7 +8,7 @@ import (
 )
 
 // The determinism contract of the string engine: for a fixed seed the
-// estimate is byte-identical at every Workers × Parallel setting,
+// estimate is byte-identical at every MaxProcs setting,
 // because every overlap sample draws from its own sub-RNG derived from
 // (trial seed, site, sample index), independent of how samples are
 // partitioned across goroutines.
@@ -18,16 +18,10 @@ func TestCountDeterministicAcrossWorkers(t *testing.T) {
 		m := randomNFA(rng)
 		n := 2 + rng.Intn(6)
 		base := Count(m, n, CountOptions{Epsilon: 0.15, Trials: 3, Seed: 7})
-		for _, workers := range []int{1, 2, 8} {
-			for _, parallel := range []bool{false, true} {
-				got := Count(m, n, CountOptions{
-					Epsilon: 0.15, Trials: 3, Seed: 7,
-					Workers: workers, Parallel: parallel,
-				})
-				if got.Cmp(base) != 0 {
-					t.Fatalf("trial %d: Workers=%d Parallel=%v gave %v, want %v",
-						trial, workers, parallel, got, base)
-				}
+		for _, procs := range []int{1, 2, 3, 8} {
+			got := Count(m, n, CountOptions{Epsilon: 0.15, Trials: 3, Seed: 7, MaxProcs: procs})
+			if got.Cmp(base) != 0 {
+				t.Fatalf("trial %d: MaxProcs=%d gave %v, want %v", trial, procs, got, base)
 			}
 		}
 	}
@@ -42,14 +36,14 @@ func TestSampleWordDeterministicAcrossWorkers(t *testing.T) {
 	if base == nil {
 		t.Fatal("nil sample from non-empty language")
 	}
-	for _, workers := range []int{2, 8} {
-		got := SampleWord(m, 6, CountOptions{Epsilon: 0.2, Seed: 13, Workers: workers})
+	for _, procs := range []int{2, 8} {
+		got := SampleWord(m, 6, CountOptions{Epsilon: 0.2, Seed: 13, MaxProcs: procs})
 		if len(got) != len(base) {
-			t.Fatalf("Workers=%d sample %v, want %v", workers, got, base)
+			t.Fatalf("MaxProcs=%d sample %v, want %v", procs, got, base)
 		}
 		for i := range got {
 			if got[i] != base[i] {
-				t.Fatalf("Workers=%d sample %v, want %v", workers, got, base)
+				t.Fatalf("MaxProcs=%d sample %v, want %v", procs, got, base)
 			}
 		}
 	}
@@ -63,11 +57,11 @@ func TestCounterDeterministicAcrossWorkers(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		m := randomNFA(rng)
 		base := NewCounter(m, CountOptions{Epsilon: 0.15, Trials: 3, Seed: 21})
-		par := NewCounter(m, CountOptions{Epsilon: 0.15, Trials: 3, Seed: 21, Workers: 8})
+		par := NewCounter(m, CountOptions{Epsilon: 0.15, Trials: 3, Seed: 21, MaxProcs: 8})
 		for n := 1; n <= 6; n++ {
 			a, b := base.Count(n), par.Count(n)
 			if a.Cmp(b) != 0 {
-				t.Fatalf("trial %d length %d: Workers=8 session gave %v, want %v", trial, n, b, a)
+				t.Fatalf("trial %d length %d: MaxProcs=8 session gave %v, want %v", trial, n, b, a)
 			}
 		}
 	}
@@ -103,9 +97,9 @@ func TestCounterMatchesCount(t *testing.T) {
 // deterministic engine, the same sampling effort at every worker count.
 func TestCountStats(t *testing.T) {
 	m := buildAB()
-	effort := func(workers int) map[string]int64 {
+	effort := func(procs int) map[string]int64 {
 		reg := obs.NewRegistry()
-		Count(m, 8, CountOptions{Epsilon: 0.1, Trials: 3, Seed: 42, Workers: workers, Obs: obs.NewScope(nil, reg, nil)})
+		Count(m, 8, CountOptions{Epsilon: 0.1, Trials: 3, Seed: 42, MaxProcs: procs, Obs: obs.NewScope(nil, reg, nil)})
 		out := map[string]int64{}
 		for _, name := range []string{"word_keys", "union_keys", "union_samples", "rejections", "wall_ns"} {
 			out[name] = reg.Counter("countnfa_" + name + "_total").Value()

@@ -28,7 +28,7 @@ type Counter struct {
 func NewCounter(m *NFA, opts CountOptions) *Counter {
 	opts = opts.withDefaults()
 	pl, _ := planFor(m)
-	c := &Counter{m: m, pl: pl, procs: opts.procs, call: newCallState(pl, opts.procs)}
+	c := &Counter{m: m, pl: pl, procs: opts.MaxProcs, call: newCallState(pl, opts.MaxProcs)}
 	for _, seed := range opts.schedule().Seeds() {
 		c.trials = append(c.trials, pl.getRun(opts, seed))
 	}

@@ -22,7 +22,7 @@
 // acceptance over a dense transition index cached on the automaton,
 // pooled scratch, and an intra-trial worker pool with one deterministic
 // splitmix64 stream per overlap sample (internal/splitmix), so results
-// are bit-identical for a fixed seed at every Workers setting.
+// are bit-identical for a fixed seed at every MaxProcs setting.
 package nfa
 
 import (

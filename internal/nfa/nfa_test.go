@@ -282,7 +282,7 @@ func TestQuickCountEnvelope(t *testing.T) {
 func TestCountParallelMatchesSequential(t *testing.T) {
 	m := buildAB()
 	seq := Count(m, 8, CountOptions{Epsilon: 0.1, Trials: 5, Seed: 42})
-	par := Count(m, 8, CountOptions{Epsilon: 0.1, Trials: 5, Seed: 42, Parallel: true})
+	par := Count(m, 8, CountOptions{Epsilon: 0.1, Trials: 5, Seed: 42, MaxProcs: 5})
 	if seq.Cmp(par) != 0 {
 		t.Errorf("parallel %v != sequential %v with the same seed", par, seq)
 	}

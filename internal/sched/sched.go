@@ -354,22 +354,3 @@ func Partition(lo, hi, k int) []Range {
 	}
 	return out
 }
-
-// Resolve maps the engines' knobs to a worker count: MaxProcs wins when
-// positive; otherwise the deprecated Workers/Parallel pair maps to the
-// concurrency it used to buy (Workers goroutines inside a trial,
-// Parallel = all trials at once). The mapping affects scheduling only —
-// results are bit-identical at every worker count.
-func Resolve(maxProcs, workers int, parallel bool, trials int) int {
-	if maxProcs > 0 {
-		return maxProcs
-	}
-	procs := 1
-	if workers > 1 {
-		procs = workers
-	}
-	if parallel && trials > procs {
-		procs = trials
-	}
-	return procs
-}

@@ -135,30 +135,6 @@ func TestEmptyWork(t *testing.T) {
 	})
 }
 
-// Resolve maps the deprecated knobs onto the unified one.
-func TestResolve(t *testing.T) {
-	cases := []struct {
-		maxProcs, workers int
-		parallel          bool
-		trials, want      int
-	}{
-		{0, 0, false, 5, 1},
-		{0, 1, false, 5, 1},
-		{0, 4, false, 5, 4},
-		{0, 0, true, 5, 5},
-		{0, 8, true, 5, 8},
-		{0, 3, true, 5, 5},
-		{2, 8, true, 5, 2},
-		{6, 0, false, 5, 6},
-	}
-	for _, c := range cases {
-		if got := Resolve(c.maxProcs, c.workers, c.parallel, c.trials); got != c.want {
-			t.Errorf("Resolve(%d, %d, %v, %d) = %d, want %d",
-				c.maxProcs, c.workers, c.parallel, c.trials, got, c.want)
-		}
-	}
-}
-
 func TestPartition(t *testing.T) {
 	for _, tc := range []struct {
 		lo, hi, k int

@@ -37,7 +37,7 @@ func directProbability(t *testing.T, dbSize int, seed int64, eps float64, trials
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pqe.Probability(q, testDB(t, dbSize), &pqe.Options{Epsilon: eps, Trials: trials, Seed: seed})
+	res, err := pqe.Probability(q, testDB(t, dbSize), &pqe.Options{Strategy: "force-nfta", Epsilon: eps, Trials: trials, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // can be materialized per sample without allocation. The determinism
 // contract of both engines rests on this: each sample's stream depends
 // only on (trial seed, sampling site, sample index), never on which
-// goroutine runs it, so estimates are bit-identical at every Workers
+// goroutine runs it, so estimates are bit-identical at every MaxProcs
 // setting for a fixed seed.
 package splitmix
 

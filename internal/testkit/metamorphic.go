@@ -128,31 +128,23 @@ func checkRebind(c *Case, cfg Config) error {
 }
 
 // checkWorkersIdentity: for a fixed seed, results must be bit-identical
-// across every MaxProcs setting and every deprecated Workers×Parallel
-// combination — the documented contract of the unified scheduler over
-// deterministic per-sample splitmix streams.
+// across every MaxProcs setting — the documented contract of the
+// unified scheduler over deterministic per-sample splitmix streams.
 func checkWorkersIdentity(c *Case, cfg Config) error {
 	base := core.Options{Epsilon: cfg.Epsilon, Trials: cfg.Trials, Seed: evalSeed(c, siteWorkers, 0), Obs: cfg.Obs}
 	ref, err := core.PQEEstimate(c.Query, c.H, base)
 	if err != nil {
 		return skipUnsupported(err)
 	}
-	for _, v := range []struct {
-		parallel bool
-		workers  int
-		maxProcs int
-	}{{false, 4, 0}, {true, 1, 0}, {true, 4, 0}, {false, 0, 2}, {false, 0, 8}, {true, 4, 3}} {
+	for _, procs := range []int{1, 2, 3, 4, 8} {
 		opts := base
-		opts.Parallel = v.parallel
-		opts.Workers = v.workers
-		opts.MaxProcs = v.maxProcs
+		opts.MaxProcs = procs
 		got, err := core.PQEEstimate(c.Query, c.H, opts)
 		if err != nil {
 			return err
 		}
 		if got != ref {
-			return fmt.Errorf("Parallel=%v Workers=%d MaxProcs=%d gives %g, sequential gives %g",
-				v.parallel, v.workers, v.maxProcs, got, ref)
+			return fmt.Errorf("MaxProcs=%d gives %g, sequential gives %g", procs, got, ref)
 		}
 	}
 	return nil

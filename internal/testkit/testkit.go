@@ -9,7 +9,7 @@
 // assertions (see compare.go for the failure-probability accounting).
 // Metamorphic properties (metamorphic.go) cover contracts no single
 // engine run can witness: probability monotonicity, session rebinding,
-// Workers×Parallel bit-identity, relabeling invariance and union-bound
+// MaxProcs bit-identity, relabeling invariance and union-bound
 // consistency. A failing instance is minimized by the shrinker
 // (shrink.go) and reported with a replayable seed.
 //

@@ -188,22 +188,21 @@ type Options struct {
 	Seed int64
 	// MaxWidth caps the hypertree width searched (0 = |Q|).
 	MaxWidth int
-	// ForceFPRAS routes even safe queries through the FPRAS.
-	ForceFPRAS bool
-	// Strategy selects how Probability routes. "" keeps the legacy
-	// two-way routing (safe → exact plan, else tree FPRAS). "auto"
-	// enables the full cost-based router: hierarchical queries go to the
-	// exact safe plan, provably small lineages to exact weighted model
-	// counting (OBDD with Shannon-expansion fallback), path queries over
-	// binary facts to the string-automaton FPRAS, and the rest of the
-	// tractable landscape to the tree-automaton FPRAS — plus anytime
-	// sequential stopping in the FPRAS engines (see Delta).
-	// "force-<engine>" (safeplan, obdd, lineage, nfta, nfa, montecarlo)
-	// pins one strategy unconditionally.
+	// Strategy selects how Probability routes. "" (the session's
+	// Strategy, else "auto") runs the cost-based router: hierarchical
+	// queries go to the exact safe plan, provably small lineages to
+	// exact weighted model counting (OBDD with Shannon-expansion
+	// fallback), path queries over binary facts to the string-automaton
+	// FPRAS, and the rest of the tractable landscape to the
+	// tree-automaton FPRAS, whose engines stop sequentially (anytime,
+	// see Delta). "force-<engine>" (safeplan, obdd, lineage, nfta, nfa,
+	// montecarlo) pins one strategy unconditionally. Estimate and
+	// UniformReliability do not route; there a non-empty Strategy only
+	// selects the anytime schedule.
 	Strategy string
 	// Delta is the failure-probability target of the anytime stopping
 	// certificate in (0,1); ≤ 0 uses a default matching the fixed
-	// 5-trial schedule (δ ≈ 0.1). Under Strategy "" (legacy routing),
+	// 5-trial schedule (δ ≈ 0.1). In Estimate and UniformReliability,
 	// setting Delta > 0 opts the FPRAS engines into sequential stopping:
 	// trials run in deterministic batches and the call stops as soon as
 	// the executed trials certify the (ε, δ) target, with the fixed
@@ -215,20 +214,8 @@ type Options struct {
 	// of their overlap-sampling loops onto one pool
 	// (runtime.NumCPU() is a good setting for large instances). For a
 	// fixed Seed the result is bit-identical at every MaxProcs value.
-	// 0 derives the worker count from the deprecated Parallel/Workers
-	// pair (1 when both are unset).
+	// 0 means 1.
 	MaxProcs int
-	// Parallel runs the estimator's independent trials on separate
-	// goroutines; results are identical to sequential runs with the
-	// same Seed.
-	//
-	// Deprecated: set MaxProcs. Parallel maps to MaxProcs = Trials.
-	Parallel bool
-	// Workers bounds the goroutines the counting engine uses inside
-	// each trial's overlap-sampling loops (0 or 1 = sequential).
-	//
-	// Deprecated: set MaxProcs. Workers > 1 maps to MaxProcs = Workers.
-	Workers int
 	// Ctx, when non-nil, bounds the evaluation: the FPRAS sampling
 	// loops observe cancellation at every trial-batch boundary and the
 	// call returns Ctx.Err() instead of an estimate. Automaton
@@ -261,19 +248,16 @@ func (o *Options) core() core.Options {
 		return core.Options{}
 	}
 	c := core.Options{
-		Epsilon:    o.Epsilon,
-		Trials:     o.Trials,
-		Samples:    o.Samples,
-		Seed:       o.Seed,
-		MaxWidth:   o.MaxWidth,
-		ForceFPRAS: o.ForceFPRAS,
-		Strategy:   o.Strategy,
-		Delta:      o.Delta,
-		MaxProcs:   o.MaxProcs,
-		Parallel:   o.Parallel,
-		Workers:    o.Workers,
-		Obs:        o.Telemetry.scope().WithRequestID(o.RequestID),
-		Ctx:        o.Ctx,
+		Epsilon:  o.Epsilon,
+		Trials:   o.Trials,
+		Samples:  o.Samples,
+		Seed:     o.Seed,
+		MaxWidth: o.MaxWidth,
+		Strategy: o.Strategy,
+		Delta:    o.Delta,
+		MaxProcs: o.MaxProcs,
+		Obs:      o.Telemetry.scope().WithRequestID(o.RequestID),
+		Ctx:      o.Ctx,
 	}
 	if o.Shards != nil {
 		c.Shard = o.Shards.p
@@ -289,7 +273,7 @@ type Result struct {
 	Exact bool
 	// Method names the algorithm used.
 	Method string
-	// Reason explains the routing decision (Strategy routing only).
+	// Reason explains the routing decision.
 	Reason string
 	// Width is the (generalized) hypertree width of the query.
 	Width int
@@ -298,9 +282,11 @@ type Result struct {
 	SelfJoinFree bool
 }
 
-// Probability computes Pr_H(Q), routing to the best algorithm: an exact
-// safe plan for safe queries, the combined-complexity FPRAS for unsafe
-// self-join-free queries of bounded hypertree width. opts may be nil.
+// Probability computes Pr_H(Q), routing to the best algorithm (see
+// Options.Strategy): an exact safe plan for safe queries, exact lineage
+// counting for provably small lineages, the combined-complexity FPRAS
+// for other unsafe self-join-free queries of bounded hypertree width.
+// opts may be nil.
 func Probability(q *Query, d *Database, opts *Options) (Result, error) {
 	res, err := core.Evaluate(q.q, d.h, opts.core())
 	if err != nil {

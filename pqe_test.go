@@ -86,7 +86,9 @@ func TestProbabilityAgainstBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantF, _ := want.Float64()
-	res, err := Probability(q, d, &Options{Epsilon: 0.1, Seed: 7})
+	// force-nfta: the router would answer this small instance exactly
+	// through its lineage; the tree FPRAS is what is checked here.
+	res, err := Probability(q, d, &Options{Epsilon: 0.1, Seed: 7, Strategy: "force-nfta"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +163,12 @@ func TestExactProbabilityUnsafe(t *testing.T) {
 }
 
 func TestProbabilityUnsupported(t *testing.T) {
+	// A self-join whose lineage is too large for the exact route.
 	q := MustParseQuery("R(x,y), R(y,z)")
 	d := NewDatabase()
-	_ = d.AddFact("R", big.NewRat(1, 2), "a", "b")
+	for i := 0; i < 40; i++ {
+		_ = d.AddFact("R", big.NewRat(1, 2), string(rune('a'+i)), string(rune('b'+i)))
+	}
 	if _, err := Probability(q, d, nil); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v, want ErrUnsupported", err)
 	}
@@ -305,9 +310,9 @@ func TestPublicAPICoverageGaps(t *testing.T) {
 	if _, err := Lineage(PathQuery("R", 2), big1, 1); err == nil {
 		t.Error("lineage limit not enforced")
 	}
-	// Explain error path: self-join.
+	// Explain error path: the tree FPRAS refuses a self-join.
 	sj := MustParseQuery("R(x,y), R(y,z)")
-	if _, err := Explain(sj, d, nil); !errors.Is(err, ErrUnsupported) {
+	if _, err := Explain(sj, d, &Options{Strategy: "force-nfta"}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("Explain err = %v", err)
 	}
 	// SampleWorld nil when Pr(Q)=0; SampleSatisfyingSubinstance nil when

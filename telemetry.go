@@ -118,7 +118,7 @@ type TrialUpdate struct {
 
 // OnTrial registers a callback fired after every completed sampling
 // trial — a live convergence feed. The callback may run on estimator
-// worker goroutines (with Options.Parallel) and must be fast and
+// worker goroutines (with Options.MaxProcs > 1) and must be fast and
 // concurrency-safe. Only one callback is kept; nil unregisters.
 func (t *Telemetry) OnTrial(fn func(TrialUpdate)) {
 	if t == nil {

@@ -132,7 +132,7 @@ func TestTelemetryOnTrial(t *testing.T) {
 		updates = append(updates, u)
 		mu.Unlock()
 	})
-	opts := &Options{Epsilon: 0.4, Seed: 5, Parallel: true, Telemetry: tel}
+	opts := &Options{Epsilon: 0.4, Seed: 5, MaxProcs: 5, Telemetry: tel}
 	if _, err := UniformReliability(StarQuery("S", 3), starDB(t), opts); err != nil {
 		t.Fatal(err)
 	}
