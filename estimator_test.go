@@ -11,11 +11,17 @@ func TestEstimatorPublicAPI(t *testing.T) {
 	opts := &Options{Epsilon: 0.2, Trials: 3, Seed: 7}
 	est := NewEstimator(q, d, opts)
 
-	res, err := est.Probability(nil)
+	// Pin the tree FPRAS: on an instance this small the router answers
+	// exactly from the lineage, and this check compares sampled answers.
+	forced := &Options{Epsilon: 0.2, Trials: 3, Seed: 7, Strategy: "force-nfta"}
+	res, err := est.Probability(forced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneShot, err := Probability(q, d, opts)
+	if res.Exact {
+		t.Fatalf("force-nfta answered exactly (%s): want a sampled estimate", res.Method)
+	}
+	oneShot, err := Probability(q, d, forced)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,9 @@ import (
 )
 
 // The probability of a #P-hard chain query, approximated by the
-// combined-complexity FPRAS and cross-checked exactly.
+// combined-complexity tree FPRAS and cross-checked exactly. The
+// strategy is pinned: on an instance this small the default routing
+// would answer exactly from the lineage.
 func ExampleProbability() {
 	q := pqe.MustParseQuery("R1(x1,x2), R2(x2,x3), R3(x3,x4)")
 	db := pqe.NewDatabase()
@@ -19,7 +21,7 @@ func ExampleProbability() {
 	exact, _ := pqe.BruteForceProbability(q, db)
 	fmt.Println("exact:", exact.RatString())
 
-	res, _ := pqe.Probability(q, db, &pqe.Options{Epsilon: 0.01, Seed: 1})
+	res, _ := pqe.Probability(q, db, &pqe.Options{Strategy: "force-nfta", Epsilon: 0.01, Seed: 1})
 	fmt.Printf("estimate within 1%%: %v\n", res.Probability > 0.2 && res.Probability < 0.3)
 	// Output:
 	// exact: 1/4

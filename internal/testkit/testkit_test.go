@@ -141,14 +141,21 @@ func TestDifferentialService(t *testing.T) {
 	cfg := Defaults()
 	h := NewServiceHarness()
 	defer h.Close()
+	var sampled int64
 	for _, i := range suiteCases(t) {
 		c := NewCase(*flagSeed, i)
 		cfg.Obs = caseScope()
-		if err := RunServiceDifferential(c, cfg, h); err != nil {
+		trials, err := RunServiceDifferential(c, cfg, h)
+		if err != nil {
 			fail(t, c, err, cfg.Obs, func(cand *Case) bool {
-				return RunServiceDifferential(cand, cfg, h) != nil
+				_, err := RunServiceDifferential(cand, cfg, h)
+				return err != nil
 			})
 		}
+		sampled += trials
+	}
+	if sampled == 0 {
+		t.Error("no case sampled a trial: the trial-count and SSE-event checks compared nothing")
 	}
 }
 
