@@ -91,9 +91,10 @@ SERVE_SMOKE_OUT ?= /tmp/pqed-metrics.prom
 serve-smoke:
 	$(GO) run ./cmd/pqed -smoke -smoke-out $(SERVE_SMOKE_OUT)
 
-# Coordinator/worker sharding smoke: the shard protocol package plus
-# the distributed-vs-local differential lane (bit-identity at worker
-# counts 1/2/4 including a mid-suite worker kill), under -race.
+# Coordinator/worker sharding smoke: the shard package (HTTP range
+# route, pool, reassignment) plus the distributed-vs-local differential
+# lane (bit-identity at worker counts 1/2/4 including a mid-suite
+# worker kill), under -race.
 shard-smoke:
 	$(GO) test -race -run 'TestDifferentialShard' -short ./internal/testkit/
 	$(GO) test -race ./internal/shard/

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -53,7 +55,7 @@ func concurrentOps() []estimatorOp {
 			opts := fp(seed)
 			spec := ShardSpec{Mode: ShardModePQE, N: r.TreeSize, States: r.FinalStates, Seed: seed}
 			spec.Epsilon, spec.Trials, spec.Samples = opts.countOptions(nil).ResolveSchedule()
-			ests, err := e.CountTrials(spec, 0, spec.Trials, 1, nil)
+			ests, err := e.CountTrials(context.Background(), spec, 0, spec.Trials, 1, nil)
 			out := ""
 			for _, v := range ests {
 				m, x := v.Bits()
@@ -324,5 +326,29 @@ func TestRoutedTrialsSavedConcurrent(t *testing.T) {
 	}
 	if got := shared.Counter("router_trials_saved_total").Value(); got != want {
 		t.Errorf("concurrent router_trials_saved_total = %d, want the sequential sum %d", got, want)
+	}
+}
+
+// TestCountTrialsCancelled: a shard worker passes its request's context
+// to CountTrials, so a range whose coordinator gave up stops before
+// sampling and reports the context's error.
+func TestCountTrialsCancelled(t *testing.T) {
+	q, h := pathInstance(t)
+	e := NewEstimator(q, h, Options{})
+	r, err := e.Explain(Options{Strategy: "force-nfta"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := ShardSpec{Mode: ShardModePQE, N: r.TreeSize, States: r.FinalStates, Seed: 3}
+	spec.Epsilon, spec.Trials, spec.Samples = Options{Epsilon: 0.3}.countOptions(nil).ResolveSchedule()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	conv := obs.NewConvergence()
+	ests, err := e.CountTrials(ctx, spec, 0, spec.Trials, 2, obs.NewScope(nil, nil, conv))
+	if !errors.Is(err, context.Canceled) || ests != nil {
+		t.Fatalf("cancelled CountTrials = (%d estimates, %v), want context.Canceled", len(ests), err)
+	}
+	if n := len(conv.Snapshot()); n != 0 {
+		t.Errorf("cancelled CountTrials ran %d trials", n)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"pqe/internal/count"
@@ -34,35 +35,38 @@ const (
 // derives trial t's PRNG from (Seed, site, index) exactly as the local
 // engines do, so the per-trial estimates are independent of how the
 // range [0, Trials) is partitioned and of which worker runs which part.
+//
+// The JSON form is what a coordinator ships to a worker; Anytime and
+// Delta stay with the coordinator.
 type ShardSpec struct {
 	// Query and DB are the instance in the public text formats
 	// (cq.Parse / pdb.ParseString). UR-only sessions wrap their plain
 	// database with all-one probabilities.
-	Query string
-	DB    string
+	Query string `json:"query"`
+	DB    string `json:"db"`
 	// MaxWidth is the session's construction knob (0 = |Q|).
-	MaxWidth int
+	MaxWidth int `json:"max_width"`
 	// Mode selects the counting phase (ShardMode*).
-	Mode string
+	Mode string `json:"mode"`
 	// N is the counted object size (tree size or word length); States
 	// the automaton's state count. Workers rebuild the reduction from
 	// (Query, DB, MaxWidth) and cross-check both against the spec, so a
 	// construction divergence between processes fails loudly instead of
 	// silently merging estimates of different automata.
-	N      int
-	States int
+	N      int `json:"n"`
+	States int `json:"states"`
 	// Epsilon, Trials, Samples and Seed are the resolved trial
 	// schedule.
-	Epsilon float64
-	Trials  int
-	Samples int
-	Seed    int64
+	Epsilon float64 `json:"epsilon"`
+	Trials  int     `json:"trials"`
+	Samples int     `json:"samples"`
+	Seed    int64   `json:"seed"`
 	// Anytime runs the trial driver's sequential-stopping schedule on
 	// the coordinator, with failure target Delta (≤ 0 = default).
 	// Workers never stop early themselves: batch boundaries live with
 	// the coordinator's driver, which is what keeps them deterministic.
-	Anytime bool
-	Delta   float64
+	Anytime bool    `json:"-"`
+	Delta   float64 `json:"-"`
 }
 
 // Schedule is the spec's trial schedule, as the trial driver runs it.
@@ -159,13 +163,14 @@ func numStates(tree *nfta.NFTA, word *nfa.NFA) int {
 	return word.NumStates()
 }
 
-// CountTrials is the worker half of the shard protocol: execute trials
+// CountTrials is the worker half of trial sharding: execute trials
 // [lo, hi) of the spec's schedule on this process's session and return
 // their estimates in trial order. The session is rebuilt from the
 // spec's text instance (the shard worker caches Estimators per spec),
 // and the reduction geometry is cross-checked against the spec before
-// any sampling runs.
-func (e *Estimator) CountTrials(spec ShardSpec, lo, hi, maxProcs int, sc *obs.Scope) ([]efloat.E, error) {
+// any sampling runs. Cancelling ctx stops the range's queued trials
+// and returns ctx's error.
+func (e *Estimator) CountTrials(ctx context.Context, spec ShardSpec, lo, hi, maxProcs int, sc *obs.Scope) ([]efloat.E, error) {
 	e.life.RLock()
 	defer e.life.RUnlock()
 	// Resolve the phase's automaton in the build critical section; the
@@ -213,7 +218,7 @@ func (e *Estimator) CountTrials(spec ShardSpec, lo, hi, maxProcs int, sc *obs.Sc
 	}
 	// A fixed schedule with the spec's resolved values: ranges never
 	// stop early, the coordinator's driver owns the batches.
-	opts := Options{Epsilon: spec.Epsilon, Trials: spec.Trials, Samples: spec.Samples, Seed: spec.Seed, MaxProcs: maxProcs}
+	opts := Options{Epsilon: spec.Epsilon, Trials: spec.Trials, Samples: spec.Samples, Seed: spec.Seed, MaxProcs: maxProcs, Ctx: ctx}
 	if tree != nil {
 		return count.TreesRange(tree, spec.N, opts.countOptions(sc), lo, hi)
 	}

@@ -133,7 +133,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	// Sessions for the pre-delta version can never be hit again (the
 	// key embeds the version); drop them now so their automata free.
 	s.mu.Lock()
-	s.sessions.evictDatabase(req.Database, s.reg)
+	s.evictDatabase(req.Database)
 	s.mu.Unlock()
 	t0 := time.Now()
 	writeJSON(w, http.StatusOK, deltaResponse{

@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"pqe"
+	"pqe/internal/lru"
 	"pqe/internal/obs"
 	"pqe/internal/sched"
 )
@@ -129,7 +130,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	dbs      map[string]*dbEntry
-	sessions *sessionLRU
+	sessions *lru.Cache[string, *session]
 
 	inflight sync.WaitGroup
 	draining atomic.Bool
@@ -157,7 +158,7 @@ func NewServer(cfg Config) *Server {
 		log:      cfg.Logger,
 		fr:       obs.NewFlightRecorder(cfg.FlightRecorderSize),
 		dbs:      make(map[string]*dbEntry),
-		sessions: newSessionLRU(cfg.MaxSessions),
+		sessions: lru.New[string, *session](cfg.MaxSessions),
 	}
 	// Touch every pqed_* family now so the full set appears in /metrics
 	// from the first scrape (a counter that never fires still exports 0).
@@ -218,7 +219,7 @@ func (s *Server) AddDatabase(name string, db *pqe.Database) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dbs[name] = &dbEntry{name: name, db: db}
-	s.sessions.evictDatabase(name, s.reg)
+	s.evictDatabase(name)
 }
 
 // Handler returns the root handler (the API plus the obs debug

@@ -1,9 +1,15 @@
 package shard
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,22 +23,12 @@ import (
 
 // PoolConfig configures a coordinator pool.
 type PoolConfig struct {
-	// DialTimeout bounds each TCP connect + hello handshake. Default 5s.
+	// DialTimeout bounds each TCP connect to a worker. Default 5s.
 	DialTimeout time.Duration
-	// CallTimeout bounds one request/response round trip (session
-	// install or trial range). A worker that exceeds it is treated as
-	// dead for the range, which is then reassigned. Default 2 minutes.
+	// CallTimeout bounds one range request, response included. A
+	// worker that exceeds it is treated as dead for the range, which is
+	// reassigned; the worker's range is cancelled. Default 2 minutes.
 	CallTimeout time.Duration
-}
-
-func (c PoolConfig) withDefaults() PoolConfig {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.CallTimeout <= 0 {
-		c.CallTimeout = 2 * time.Minute
-	}
-	return c
 }
 
 // Stats is a snapshot of a pool's lifetime dispatch counters.
@@ -40,16 +36,18 @@ type Stats struct {
 	RangesDispatched int64 // contiguous trial ranges sent to workers
 	TrialsDispatched int64 // trials covered by those ranges
 	Reassigned       int64 // ranges re-run on another worker after a failure
-	WorkerFailures   int64 // failed range attempts (timeouts, dead conns, errors)
+	WorkerFailures   int64 // failed range attempts (timeouts, dead workers, errors)
 }
 
-// Pool is the coordinator side of the shard protocol: a fixed set of
-// worker addresses, one connection each (redialed lazily after a
-// failure, so workers may leave and rejoin between batches). It
-// implements core.Sharder.
+// Pool is the coordinator side of trial sharding: a fixed set of
+// worker addresses behind one HTTP client, whose connection pool
+// redials after a failure, so workers may leave and rejoin between
+// batches. It is safe for concurrent use and implements core.Sharder.
 type Pool struct {
-	cfg     PoolConfig
-	workers []*workerConn
+	addrs  []string
+	client *http.Client
+	ctx    context.Context // cancelled by Close
+	cancel context.CancelFunc
 
 	ranges     atomic.Int64
 	trials     atomic.Int64
@@ -57,42 +55,38 @@ type Pool struct {
 	failures   atomic.Int64
 }
 
-// workerConn is one worker endpoint. The mutex serializes the
-// connection's request/response round trips; sessions tracks which
-// session keys this connection has installed (reset on redial).
-type workerConn struct {
-	addr     string
-	mu       sync.Mutex
-	conn     net.Conn
-	sessions map[string]bool
-}
-
-// Dial connects to every worker address and performs the hello
-// handshake. All workers must answer — a coordinator should fail fast
-// at setup, not half-shard silently; failures after Dial are handled
-// by reassignment.
+// Dial probes every worker with an empty range. All must answer — a
+// coordinator fails fast at setup rather than half-shard silently;
+// failures after Dial are handled by reassignment.
 func Dial(addrs []string, cfg PoolConfig) (*Pool, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("shard: no worker addresses")
 	}
-	p := &Pool{cfg: cfg.withDefaults()}
-	for _, a := range addrs {
-		p.workers = append(p.workers, &workerConn{addr: a})
+	if cfg.DialTimeout <= 0 {
+		cfg.DialTimeout = 5 * time.Second
 	}
-	for _, w := range p.workers {
-		w.mu.Lock()
-		err := w.ensure(p.cfg.DialTimeout, p.cfg.CallTimeout)
-		w.mu.Unlock()
-		if err != nil {
+	if cfg.CallTimeout <= 0 {
+		cfg.CallTimeout = 2 * time.Minute
+	}
+	p := &Pool{
+		addrs: slices.Clone(addrs),
+		client: &http.Client{
+			Transport: &http.Transport{DialContext: (&net.Dialer{Timeout: cfg.DialTimeout}).DialContext},
+			Timeout:   cfg.CallTimeout,
+		},
+	}
+	p.ctx, p.cancel = context.WithCancel(context.Background())
+	for _, a := range p.addrs {
+		if _, err := p.countRange("", a, core.ShardSpec{}, 0, 0); err != nil {
 			p.Close()
-			return nil, fmt.Errorf("shard: worker %s: %w", w.addr, err)
+			return nil, fmt.Errorf("shard: %w", err)
 		}
 	}
 	return p, nil
 }
 
 // Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return len(p.workers) }
+func (p *Pool) Workers() int { return len(p.addrs) }
 
 // Stats returns a snapshot of the dispatch counters.
 func (p *Pool) Stats() Stats {
@@ -104,149 +98,52 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// Close drops every worker connection.
+// Close cancels every request in flight, so their evaluations fail as
+// if the workers died, and drops the idle connections.
 func (p *Pool) Close() {
-	for _, w := range p.workers {
-		w.mu.Lock()
-		w.drop()
-		w.mu.Unlock()
-	}
+	p.cancel()
+	p.client.CloseIdleConnections()
 }
 
-// ensure dials and handshakes the connection if it is down. Caller
-// holds w.mu.
-func (w *workerConn) ensure(dialTimeout, callTimeout time.Duration) error {
-	if w.conn != nil {
-		return nil
-	}
-	conn, err := net.DialTimeout("tcp", w.addr, dialTimeout)
-	if err != nil {
-		return err
-	}
-	deadline := time.Now().Add(callTimeout)
-	if err := writeFrame(conn, &request{Op: "hello", Version: ProtocolVersion}, deadline); err != nil {
-		conn.Close()
-		return err
-	}
-	var resp response
-	if err := readFrame(conn, &resp, deadline); err != nil {
-		conn.Close()
-		return err
-	}
-	if !resp.OK {
-		conn.Close()
-		return errors.New(resp.Err)
-	}
-	w.conn = conn
-	w.sessions = make(map[string]bool)
-	return nil
-}
-
-// drop closes the connection and forgets its installed sessions.
-// Caller holds w.mu.
-func (w *workerConn) drop() {
-	if w.conn != nil {
-		w.conn.Close()
-		w.conn = nil
-		w.sessions = nil
-	}
-}
-
-// roundTrip sends one request and reads its response. Transport errors
-// drop the connection (the next use redials); application errors come
-// back in the response and leave the connection healthy. Caller holds
-// w.mu.
-func (w *workerConn) roundTrip(req *request, deadline time.Time) (response, error) {
-	if err := writeFrame(w.conn, req, deadline); err != nil {
-		w.drop()
-		return response{}, err
-	}
-	var resp response
-	if err := readFrame(w.conn, &resp, deadline); err != nil {
-		w.drop()
-		return response{}, err
-	}
-	return resp, nil
-}
-
-// install sends the spec's instance as a session. Caller holds w.mu
-// with a live connection.
-func (w *workerConn) install(spec core.ShardSpec, key string, deadline time.Time) error {
-	resp, err := w.roundTrip(&request{
-		Op:       "session",
-		Session:  key,
-		Query:    spec.Query,
-		DB:       spec.DB,
-		MaxWidth: spec.MaxWidth,
-	}, deadline)
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return errors.New(resp.Err)
-	}
-	w.sessions[key] = true
-	return nil
-}
-
-// countRange executes trials [lo, hi) of the spec on this worker,
-// installing the session on first use and transparently re-installing
-// it once if the worker evicted it.
-func (w *workerConn) countRange(spec core.ShardSpec, key string, lo, hi int, cfg PoolConfig) ([]efloat.E, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.ensure(cfg.DialTimeout, cfg.CallTimeout); err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(cfg.CallTimeout)
-	if !w.sessions[key] {
-		if err := w.install(spec, key, deadline); err != nil {
-			return nil, err
-		}
-	}
-	req := &request{
-		Op:      "count",
-		Session: key,
-		Mode:    spec.Mode,
-		N:       spec.N,
-		States:  spec.States,
-		Epsilon: spec.Epsilon,
-		Trials:  spec.Trials,
-		Samples: spec.Samples,
-		Seed:    spec.Seed,
-		Lo:      lo,
-		Hi:      hi,
-	}
-	resp, err := w.roundTrip(req, deadline)
+// countRange posts trials [lo, hi) of the spec, tagged with request ID
+// reqID, to the worker at addr and returns their estimates in order.
+func (p *Pool) countRange(reqID, addr string, spec core.ShardSpec, lo, hi int) ([]efloat.E, error) {
+	body, err := json.Marshal(rangeRequest{ShardSpec: spec, Lo: lo, Hi: hi})
 	if err != nil {
 		return nil, err
 	}
-	if !resp.OK && resp.Err == errUnknownSession {
-		// The worker evicted (or restarted past) the session since we
-		// installed it; re-install and retry once.
-		delete(w.sessions, key)
-		if err := w.install(spec, key, deadline); err != nil {
-			return nil, err
+	req, err := http.NewRequestWithContext(p.ctx, http.MethodPost, "http://"+addr+rangePath, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("X-Request-Id", reqID)
+	resp, err := p.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	// Reading to EOF lets the connection go back to the pool.
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	if err != nil {
+		return nil, fmt.Errorf("worker %s: %w", addr, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("worker %s: %s: %s", addr, resp.Status, bytes.TrimSpace(data))
+	}
+	var out rangeResponse
+	if err := json.Unmarshal(data, &out); err != nil {
+		return nil, fmt.Errorf("worker %s: %w", addr, err)
+	}
+	if len(out.Mant) != hi-lo || len(out.Exp) != hi-lo {
+		return nil, fmt.Errorf("worker %s returned %d estimates for range [%d, %d)", addr, len(out.Mant), lo, hi)
+	}
+	vals := make([]efloat.E, hi-lo)
+	for i := range vals {
+		if vals[i], err = efloat.FromBits(out.Mant[i], out.Exp[i]); err != nil {
+			return nil, fmt.Errorf("worker %s: %w", addr, err)
 		}
-		if resp, err = w.roundTrip(req, deadline); err != nil {
-			return nil, err
-		}
 	}
-	if !resp.OK {
-		return nil, errors.New(resp.Err)
-	}
-	if len(resp.Mant) != hi-lo || len(resp.Exp) != hi-lo {
-		return nil, fmt.Errorf("shard: worker %s returned %d estimates for range [%d, %d)", w.addr, len(resp.Mant), lo, hi)
-	}
-	out := make([]efloat.E, hi-lo)
-	for i := range out {
-		e, err := efloat.FromBits(resp.Mant[i], resp.Exp[i])
-		if err != nil {
-			return nil, fmt.Errorf("shard: worker %s: %w", w.addr, err)
-		}
-		out[i] = e
-	}
-	return out, nil
+	return vals, nil
 }
 
 // rangeResult is one dispatched range's outcome.
@@ -265,19 +162,19 @@ type rangeResult struct {
 // local engines run it: one batch of all Trials for fixed calls, the
 // anytime batches with the stop certificate for anytime calls. The
 // driver's Exec here cuts each batch into contiguous sub-ranges, one
-// per worker; a failed range (timeout, dead connection, worker error)
+// per worker; a failed range (timeout, dead worker, worker error)
 // is reassigned whole to the next live worker, which is free because
 // trial seeds derive from (seed, index), never from placement. The
 // merged Result — upper median, executed and saved trials — is
 // therefore bit-identical to the local run.
 func (p *Pool) CountSharded(sc *obs.Scope, spec core.ShardSpec) (trial.Result, error) {
-	key := SpecKey(spec.Query, spec.DB, spec.MaxWidth)
+	reqID := sc.RequestID()
 	sc, span := sc.Span("shard.count")
 	defer span.End()
 	if span != nil {
 		span.SetAttr("mode", spec.Mode)
 		span.SetAttr("trials", spec.Trials)
-		span.SetAttr("workers", len(p.workers))
+		span.SetAttr("workers", len(p.addrs))
 		span.SetAttr("epsilon", spec.Epsilon)
 	}
 	reg := sc.Registry()
@@ -292,7 +189,7 @@ func (p *Pool) CountSharded(sc *obs.Scope, spec core.ShardSpec) (trial.Result, e
 			bspan.SetAttr("trial_hi", hi)
 		}
 		defer bspan.End()
-		vals, err := p.dispatch(reg, spec, key, lo, hi)
+		vals, err := p.dispatch(reg, reqID, spec, lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -327,16 +224,16 @@ func (p *Pool) CountSharded(sc *obs.Scope, spec core.ShardSpec) (trial.Result, e
 // dispatch runs trials [lo, hi) across the pool and returns their
 // estimates in trial order: one contiguous sub-range per worker, failed
 // ranges reassigned whole to the next live worker.
-func (p *Pool) dispatch(reg *obs.Registry, spec core.ShardSpec, key string, lo, hi int) ([]efloat.E, error) {
-	ranges := sched.Partition(lo, hi, len(p.workers))
+func (p *Pool) dispatch(reg *obs.Registry, reqID string, spec core.ShardSpec, lo, hi int) ([]efloat.E, error) {
+	ranges := sched.Partition(lo, hi, len(p.addrs))
 	results := make([]rangeResult, len(ranges))
 	var wg sync.WaitGroup
 	for i, r := range ranges {
 		wg.Add(1)
 		go func(i int, r sched.Range) {
 			defer wg.Done()
-			wi := i % len(p.workers)
-			vals, err := p.workers[wi].countRange(spec, key, r.Lo, r.Hi, p.cfg)
+			wi := i % len(p.addrs)
+			vals, err := p.countRange(reqID, p.addrs[wi], spec, r.Lo, r.Hi)
 			results[i] = rangeResult{r: r, worker: wi, vals: vals, err: err, done: time.Now()}
 		}(i, r)
 	}
@@ -368,12 +265,12 @@ func (p *Pool) dispatch(reg *obs.Registry, spec core.ShardSpec, key string, lo, 
 		first := res.worker
 		for off := 1; res.err != nil; off++ {
 			p.failures.Add(1)
-			reg.CounterVec("shard_worker_failures_total", "worker").With(p.workers[res.worker].addr).Inc()
-			if off == len(p.workers) {
+			reg.CounterVec("shard_worker_failures_total", "worker").With(p.addrs[res.worker]).Inc()
+			if off == len(p.addrs) {
 				return nil, fmt.Errorf("shard: range [%d, %d) failed on every worker: %w", res.r.Lo, res.r.Hi, res.err)
 			}
-			res.worker = (first + off) % len(p.workers)
-			if res.vals, res.err = p.workers[res.worker].countRange(spec, key, res.r.Lo, res.r.Hi, p.cfg); res.err == nil {
+			res.worker = (first + off) % len(p.addrs)
+			if res.vals, res.err = p.countRange(reqID, p.addrs[res.worker], spec, res.r.Lo, res.r.Hi); res.err == nil {
 				p.reassigned.Add(1)
 				reg.Counter("shard_reassigned_total").Inc()
 			}
@@ -381,7 +278,7 @@ func (p *Pool) dispatch(reg *obs.Registry, spec core.ShardSpec, key string, lo, 
 	}
 	vals := make([]efloat.E, 0, hi-lo)
 	for _, res := range results {
-		reg.CounterVec("shard_worker_trials_total", "worker").With(p.workers[res.worker].addr).Add(int64(res.r.Len()))
+		reg.CounterVec("shard_worker_trials_total", "worker").With(p.addrs[res.worker]).Add(int64(res.r.Len()))
 		vals = append(vals, res.vals...)
 	}
 	return vals, nil

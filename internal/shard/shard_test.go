@@ -1,9 +1,15 @@
 package shard
 
 import (
+	"encoding/json"
+	"io"
 	"math"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,10 +17,24 @@ import (
 	"pqe/internal/cq"
 	"pqe/internal/efloat"
 	"pqe/internal/gen"
+	"pqe/internal/lru"
 	"pqe/internal/obs"
 	"pqe/internal/pdb"
 	"pqe/internal/sched"
 )
+
+// serveWorker serves s on a loopback listener until the test ends and
+// returns its address.
+func serveWorker(t *testing.T, s *Server) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(l)
+	t.Cleanup(s.Close)
+	return l.Addr().String()
+}
 
 // startWorkers launches n in-process worker servers on loopback and
 // returns their addresses plus a stop function.
@@ -22,14 +42,9 @@ func startWorkers(t *testing.T, n int, cfg ServerConfig) ([]string, func()) {
 	t.Helper()
 	addrs := make([]string, n)
 	servers := make([]*Server, n)
-	for i := 0; i < n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = l.Addr().String()
+	for i := range servers {
 		servers[i] = NewServer(cfg)
-		go servers[i].Serve(l)
+		addrs[i] = serveWorker(t, servers[i])
 	}
 	return addrs, func() {
 		for _, s := range servers {
@@ -59,48 +74,69 @@ func testInstance(t *testing.T) (*cq.Query, *pdb.Probabilistic) {
 	return q, h
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	want := request{Op: "count", Session: "k", Mode: core.ShardModePQE,
-		N: 7, States: 42, Epsilon: 0.25, Trials: 5, Samples: 96, Seed: -3, Lo: 1, Hi: 4}
-	go func() {
-		if err := writeFrame(c1, &want, time.Time{}); err != nil {
-			t.Error(err)
-		}
-	}()
-	var got request
-	if err := readFrame(c2, &got, time.Now().Add(5*time.Second)); err != nil {
-		t.Fatal(err)
+// fill is an endless reader of one byte value.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
 	}
-	if got != want {
-		t.Errorf("frame round trip: got %+v, want %+v", got, want)
-	}
+	return len(p), nil
 }
 
-func TestFrameTooLarge(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c2.Close()
-	err := writeFrame(c1, &request{DB: strings.Repeat("x", maxFrame)}, time.Time{})
-	c1.Close()
-	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Errorf("oversized frame accepted: %v", err)
-	}
-}
-
-func TestSpecKeyDistinguishesInstances(t *testing.T) {
-	a := SpecKey("R(x)", "R(a) : 1/2\n", 0)
-	if a != SpecKey("R(x)", "R(a) : 1/2\n", 0) {
-		t.Error("SpecKey is not deterministic")
-	}
-	for _, other := range []string{
-		SpecKey("R(y)", "R(a) : 1/2\n", 0),
-		SpecKey("R(x)", "R(b) : 1/2\n", 0),
-		SpecKey("R(x)", "R(a) : 1/2\n", 2),
+// TestRangeHandlerRejectsBadRequests: the worker refuses a body past
+// the size cap with 413 and a malformed body or an unknown field with
+// 400, and Dial refuses an address that does not serve the route.
+func TestRangeHandlerRejectsBadRequests(t *testing.T) {
+	s := NewServer(ServerConfig{MaxProcs: 1})
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"oversized", io.MultiReader(strings.NewReader(`{"db":"`), io.LimitReader(fill('x'), maxBody)), http.StatusRequestEntityTooLarge},
+		{"malformed", strings.NewReader(`{"lo":0,"hi":`), http.StatusBadRequest},
+		{"unknown field", strings.NewReader(`{"lo":0,"hi":1,"session":"k"}`), http.StatusBadRequest},
 	} {
-		if a == other {
-			t.Error("SpecKey collides across distinct instances")
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, rangePath, tc.body))
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body)
+		}
+	}
+	ts := httptest.NewServer(http.NotFoundHandler())
+	defer ts.Close()
+	if pool, err := Dial([]string{ts.Listener.Addr().String()}, PoolConfig{}); err == nil || !strings.Contains(err.Error(), "404") {
+		if pool != nil {
+			pool.Close()
+		}
+		t.Errorf("Dial to a server without the route: %v, want a 404 error", err)
+	}
+}
+
+// TestSessionKeyDistinguishesInstances: one (query, db, max width) maps
+// to one cached session, and changing any of the three builds another.
+func TestSessionKeyDistinguishesInstances(t *testing.T) {
+	s := NewServer(ServerConfig{MaxProcs: 1})
+	session := func(query, db string, maxWidth int) *core.Estimator {
+		t.Helper()
+		est, err := s.session(&core.ShardSpec{Query: query, DB: db, MaxWidth: maxWidth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	a := session("R(x)", "R(a) : 1/2\n", 0)
+	if session("R(x)", "R(a) : 1/2\n", 0) != a {
+		t.Error("the same instance built a second session")
+	}
+	for _, other := range []*core.Estimator{
+		session("R(y)", "R(a) : 1/2\n", 0),
+		session("R(x)", "R(b) : 1/2\n", 0),
+		session("R(x)", "R(a) : 1/2\n", 2),
+	} {
+		if other == a {
+			t.Error("distinct instances share a session")
 		}
 	}
 }
@@ -219,13 +255,14 @@ func TestBitIdentityAnytime(t *testing.T) {
 	}
 }
 
-// TestSessionEvictionRetry forces the worker's session LRU to evict
-// between calls: the coordinator must transparently re-install and the
-// results must stay bit-identical.
-func TestSessionEvictionRetry(t *testing.T) {
-	addrs, stop := startWorkers(t, 1, ServerConfig{MaxSessions: 1})
-	defer stop()
-	pool, err := Dial(addrs, PoolConfig{})
+// TestSessionRebuildOnMiss alternates two instances on a 1-slot worker,
+// so every call misses and rebuilds its session from the shipped text;
+// the results must stay bit-identical.
+func TestSessionRebuildOnMiss(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := NewServer(ServerConfig{Obs: obs.NewScope(nil, reg, nil)})
+	s.sessions = lru.New[string, *core.Estimator](1)
+	pool, err := Dial([]string{serveWorker(t, s)}, PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +284,8 @@ func TestSessionEvictionRetry(t *testing.T) {
 	}
 	sopts := opts
 	sopts.Shard = pool
-	// Alternate instances: each call evicts the other's session on the
-	// 1-slot worker, so every second call exercises the unknown-session
-	// re-install path.
-	for round := 0; round < 3; round++ {
+	const rounds = 3
+	for round := 0; round < rounds; round++ {
 		got1, err := core.NewEstimator(q, h, sopts).PQEEstimate(sopts)
 		if err != nil {
 			t.Fatal(err)
@@ -260,47 +295,35 @@ func TestSessionEvictionRetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		if math.Float64bits(got1) != math.Float64bits(local1) || math.Float64bits(got2) != math.Float64bits(local2) {
-			t.Fatalf("round %d: eviction broke bit-identity", round)
+			t.Fatalf("round %d: rebuilt sessions broke bit-identity", round)
 		}
+	}
+	// Each fixed-schedule call sends the worker one range, on a session
+	// the other instance just evicted.
+	if got := reg.Counter("shard_worker_sessions_installed_total").Value(); got != 2*rounds {
+		t.Errorf("shard_worker_sessions_installed_total = %d, want %d", got, 2*rounds)
 	}
 }
 
-// hangWorker is a fake worker that answers the handshake and session
-// install but never answers a count — the timeout/straggler failure
-// mode. Returns its address.
+// hangWorker is a fake worker that answers Dial's empty-range probe but
+// holds every real range until the test ends — the timeout/straggler
+// failure mode. Returns its address.
 func hangWorker(t *testing.T) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				for {
-					var req request
-					if err := readFrame(conn, &req, time.Time{}); err != nil {
-						return
-					}
-					switch req.Op {
-					case "hello":
-						writeFrame(conn, &response{OK: true, Version: ProtocolVersion}, time.Time{})
-					case "session":
-						writeFrame(conn, &response{OK: true}, time.Time{})
-					default:
-						select {} // hang forever; the coordinator must time out
-					}
-				}
-			}(conn)
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req rangeRequest
+		if json.NewDecoder(r.Body).Decode(&req) == nil && req.Hi > req.Lo {
+			<-release // the coordinator must time out
 		}
-	}()
-	return l.Addr().String()
+		json.NewEncoder(w).Encode(rangeResponse{})
+	}))
+	// Close waits for handlers, so release them first.
+	t.Cleanup(func() {
+		close(release)
+		ts.Close()
+	})
+	return ts.Listener.Addr().String()
 }
 
 // TestTimeoutReassignsRange pins the robustness satellite: a worker
@@ -404,5 +427,98 @@ func TestShardedTrialsSavedAttribution(t *testing.T) {
 	}
 	if math.Float64bits(shardedP) != math.Float64bits(localP) {
 		t.Errorf("sharded estimate %v != local %v", shardedP, localP)
+	}
+}
+
+// TestConcurrentRangesOnOneWorker: two evaluations sharing a pool run
+// their ranges on one worker at the same time. The worker holds each
+// range until two are in flight, so ranges that queued behind each
+// other would time out its bounded wait.
+func TestConcurrentRangesOnOneWorker(t *testing.T) {
+	var inflight atomic.Int32
+	both := make(chan struct{})
+	one := efloat.FromFloat(1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req rangeRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if req.Hi > req.Lo {
+			if inflight.Add(1) == 2 {
+				close(both)
+			}
+			select {
+			case <-both:
+			case <-time.After(10 * time.Second):
+				http.Error(w, "ranges ran one after another", http.StatusInternalServerError)
+				return
+			}
+		}
+		var resp rangeResponse
+		for i := req.Lo; i < req.Hi; i++ {
+			m, e := one.Bits()
+			resp.Mant, resp.Exp = append(resp.Mant, m), append(resp.Exp, e)
+		}
+		json.NewEncoder(w).Encode(resp)
+	}))
+	defer ts.Close()
+	pool, err := Dial([]string{ts.Listener.Addr().String()}, PoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	spec := core.ShardSpec{Mode: core.ShardModePQE, Epsilon: 0.3, Trials: 3, Samples: 24, Seed: 1}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = pool.CountSharded(nil, spec)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestRequestIDCrossesShardHop: the coordinator's request ID reaches
+// the worker, whose range span carries it.
+func TestRequestIDCrossesShardHop(t *testing.T) {
+	tr := obs.NewTracer()
+	s := NewServer(ServerConfig{MaxProcs: 1, Obs: obs.NewScope(tr, nil, nil)})
+	pool, err := Dial([]string{serveWorker(t, s)}, PoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	q, h := testInstance(t)
+	opts := core.Options{Epsilon: 0.3, Seed: 7, Shard: pool,
+		Obs: obs.NewScope(nil, obs.NewRegistry(), nil).WithRequestID("req-shard-7")}
+	if _, err := core.NewEstimator(q, h, opts).PQEEstimate(opts); err != nil {
+		t.Fatal(err)
+	}
+	var ranges int
+	for _, root := range tr.Roots() {
+		if root.Name() != "count.trees_range" {
+			continue
+		}
+		ranges++
+		var id any
+		for _, a := range root.Attrs() {
+			if a.Key == "request_id" {
+				id = a.Value
+			}
+		}
+		if id != "req-shard-7" {
+			t.Errorf("worker range span request_id = %v, want req-shard-7", id)
+		}
+	}
+	if ranges == 0 {
+		t.Fatal("worker recorded no count.trees_range span")
 	}
 }

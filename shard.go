@@ -6,7 +6,7 @@ import (
 	"pqe/internal/shard"
 )
 
-// ShardPool is a coordinator-side connection pool over shard worker
+// ShardPool is a coordinator-side HTTP client pool over shard worker
 // processes (see cmd/pqe -shard-listen). Attach one to Options.Shards
 // and every FPRAS counting phase of that call is partitioned into
 // contiguous trial ranges, executed on the workers, and merged through
@@ -15,16 +15,17 @@ import (
 // after a mid-call worker failure (ranges are reassigned; trial seeds
 // derive from (seed, index), never from placement).
 //
-// A ShardPool is safe for concurrent use by independent evaluations
-// and is reusable across queries and databases: workers cache an
-// estimator session per instance, keyed by content.
+// A ShardPool is safe for concurrent use by independent evaluations,
+// whose ranges run on a worker side by side, and is reusable across
+// queries and databases: every range request carries its instance,
+// and workers cache an estimator session per instance text.
 type ShardPool struct {
 	p *shard.Pool
 }
 
 // NewShardPool connects to the given worker addresses ("host:port").
-// Every worker must answer the protocol handshake; a failure closes
-// the pool and reports which worker was unreachable.
+// Every worker must answer a probe on the shard route; a failure
+// closes the pool and reports which worker did not.
 func NewShardPool(addrs ...string) (*ShardPool, error) {
 	p, err := shard.Dial(addrs, shard.PoolConfig{})
 	if err != nil {
@@ -36,8 +37,8 @@ func NewShardPool(addrs ...string) (*ShardPool, error) {
 // Workers returns the number of configured workers.
 func (s *ShardPool) Workers() int { return s.p.Workers() }
 
-// Close drops the worker connections. Evaluations in flight fail over
-// as if the workers died.
+// Close cancels the pool's requests in flight and drops its idle
+// connections. Evaluations in flight fail as if the workers died.
 func (s *ShardPool) Close() { s.p.Close() }
 
 // ShardStats is a snapshot of a pool's lifetime dispatch counters.
@@ -53,11 +54,13 @@ type ShardStats struct {
 }
 
 // ServeShardWorker runs a shard worker process on the listener until
-// it is closed: it accepts coordinator connections, caches an
+// it is closed: it serves POST /v1/shard/range over HTTP, caches an
 // estimator session per (query, database, max width) instance, and
-// executes the trial ranges it is assigned. maxProcs bounds the
-// engines' scheduler width per request (0 means all CPUs). If tel is
-// non-nil it receives the worker-local engine telemetry.
+// executes the trial ranges coordinators post. A range stops when its
+// coordinator gives up on it. maxProcs bounds the engines' scheduler
+// width per request (0 means all CPUs). If tel is non-nil it receives
+// the worker-local engine telemetry, whose range spans carry the
+// coordinator's request ID.
 func ServeShardWorker(l net.Listener, maxProcs int, tel *Telemetry) error {
 	cfg := shard.ServerConfig{MaxProcs: maxProcs}
 	if tel != nil {
