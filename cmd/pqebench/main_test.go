@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -122,30 +123,29 @@ func TestRunJSONBench(t *testing.T) {
 	// lists — a real but single-digit-percent time edge that sits
 	// inside run-to-run noise. There it must merely stay within 15% of
 	// the rebuild; the allocation win stays strict.
-	nsFails := checkChurnRows(t, cf.Results)
-	if len(nsFails) > 0 {
-		// The ns comparisons measure wall time and lose their margin
-		// when the whole test suite runs in parallel on a loaded
-		// machine; one re-measurement of just the churn suite on a miss
-		// keeps the gate meaningful without making it flaky. The
-		// allocation comparisons are load-immune and never retried.
-		t.Logf("retrying churn suite after timing misses: %v", nsFails)
-		retryPath := filepath.Join(dir, "bench_churn_retry.json")
-		if err := runJSONBenchChurn(retryPath, cf.Epsilon, cf.Seed, 2, &out); err != nil {
+	//
+	// The ns comparisons measure wall time, and one 300 ms timing per
+	// side loses its margin when the whole test suite shares the CPUs.
+	// So the suite runs churnSamples times and the gate compares the
+	// per-row medians; the allocation counts are load-immune and gate
+	// on the first run alone.
+	samples := [][]benchRecord{cf.Results}
+	for k := 1; k < churnSamples; k++ {
+		p := filepath.Join(dir, fmt.Sprintf("bench_churn_%d.json", k))
+		if err := runJSONBenchChurn(p, cf.Epsilon, cf.Seed, 2, &out); err != nil {
 			t.Fatal(err)
 		}
-		data, err = os.ReadFile(retryPath)
+		data, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cf2 benchFile
-		if err := json.Unmarshal(data, &cf2); err != nil {
+		var more benchFile
+		if err := json.Unmarshal(data, &more); err != nil {
 			t.Fatalf("not valid JSON: %v", err)
 		}
-		for _, miss := range checkChurnRows(t, cf2.Results) {
-			t.Error(miss)
-		}
+		samples = append(samples, more.Results)
 	}
+	checkChurnRows(t, samples)
 
 	data, err = os.ReadFile(routerPath)
 	if err != nil {
@@ -323,25 +323,40 @@ func TestRunCompareMaxRegressRemovedRow(t *testing.T) {
 	}
 }
 
+// churnSamples is how many runs of the churn suite TestRunJSONBench
+// takes; the time gate compares per-row medians across them.
+const churnSamples = 9
+
 // checkChurnRows validates the churn suite's incremental-vs-rebuild
-// contract: every incremental/session row must beat its rebuild/fresh
-// counterpart on allocations (reported via t.Errorf — deterministic)
-// for the small batch sizes, and on time (returned as retryable
-// failures) — except ChurnPath's ns/op, which gets 15% slack: its
-// assembly replays the whole NFA (symbol numbering follows global fact
-// positions, which any churn shifts), so the incremental side only
-// saves the key scan and the dirty join lists, a single-digit-percent
-// edge inside run-to-run noise.
-func checkChurnRows(t *testing.T, results []benchRecord) []string {
+// contract over repeated runs of the suite: for the small batch sizes,
+// every incremental/session row must beat its rebuild/fresh
+// counterpart on allocations in the first run, and on the median
+// ns/op across the runs — except ChurnPath's ns/op, which gets 15%
+// slack: its assembly replays the whole NFA (symbol numbering follows
+// global fact positions, which any churn shifts), so the incremental
+// side only saves the key scan and the dirty join lists, a
+// single-digit-percent edge inside run-to-run noise.
+func checkChurnRows(t *testing.T, samples [][]benchRecord) {
 	t.Helper()
-	rows := make(map[string]benchRecord, len(results))
-	for _, r := range results {
-		if r.Ops <= 0 || r.NsPerOp <= 0 {
-			t.Errorf("%s: implausible measurement %+v", r.Name, r)
+	key := func(r benchRecord) string { return fmt.Sprintf("%s@w%d", r.Name, r.Workers) }
+	rows := make(map[string]benchRecord, len(samples[0]))
+	ns := make(map[string][]int64, len(samples[0]))
+	for i, results := range samples {
+		for _, r := range results {
+			if r.Ops <= 0 || r.NsPerOp <= 0 {
+				t.Errorf("%s: implausible measurement %+v", r.Name, r)
+			}
+			if i == 0 {
+				rows[key(r)] = r
+			}
+			ns[key(r)] = append(ns[key(r)], r.NsPerOp)
 		}
-		rows[fmt.Sprintf("%s@w%d", r.Name, r.Workers)] = r
 	}
-	var nsFails []string
+	median := func(name string) int64 {
+		xs := slices.Clone(ns[name])
+		slices.Sort(xs)
+		return xs[len(xs)/2]
+	}
 	for name, inc := range rows {
 		base := strings.Replace(strings.Replace(name, "/incremental", "/rebuild", 1), "/session", "/fresh", 1)
 		if base == name {
@@ -355,18 +370,23 @@ func checkChurnRows(t *testing.T, results []benchRecord) []string {
 		if !strings.Contains(name, "/n=1/") && !strings.Contains(name, "/n=10/") {
 			continue
 		}
-		nsBound := full.NsPerOp
-		if strings.HasPrefix(name, "ChurnPath/") {
-			nsBound = full.NsPerOp + full.NsPerOp*15/100
+		if len(ns[name]) != len(samples) || len(ns[base]) != len(samples) {
+			t.Errorf("%s: %d and %s: %d samples, want %d", name, len(ns[name]), base, len(ns[base]), len(samples))
+			continue
 		}
-		if inc.NsPerOp >= nsBound {
-			nsFails = append(nsFails, fmt.Sprintf("%s (%d ns/op) did not beat %s (bound %d ns/op)", name, inc.NsPerOp, base, nsBound))
+		incNs, fullNs := median(name), median(base)
+		nsBound := fullNs
+		if strings.HasPrefix(name, "ChurnPath/") {
+			nsBound = fullNs + fullNs*15/100
+		}
+		if incNs >= nsBound {
+			t.Errorf("%s (median %d ns/op of %v) did not beat %s (median %d ns/op of %v, bound %d ns/op)",
+				name, incNs, ns[name], base, fullNs, ns[base], nsBound)
 		}
 		if inc.AllocsPerOp >= full.AllocsPerOp {
 			t.Errorf("%s (%d allocs/op) did not beat %s (%d allocs/op)", name, inc.AllocsPerOp, base, full.AllocsPerOp)
 		}
 	}
-	return nsFails
 }
 
 // TestRunCompareAddedRemoved pins the explicit added/removed row

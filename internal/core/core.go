@@ -22,11 +22,9 @@ import (
 	"pqe/internal/count"
 	"pqe/internal/cq"
 	"pqe/internal/efloat"
-	"pqe/internal/hypertree"
 	"pqe/internal/nfa"
 	"pqe/internal/obs"
 	"pqe/internal/pdb"
-	"pqe/internal/safeplan"
 )
 
 // Options configures the estimators.
@@ -47,11 +45,11 @@ type Options struct {
 	// else "auto") runs the cost-based router of internal/router —
 	// Table 1 classification plus a small-lineage exact route;
 	// "force-<engine>" (safeplan, obdd, lineage, nfta, nfa, montecarlo)
-	// pins one strategy unconditionally. A routed call's FPRAS engines
-	// always stop sequentially (anytime). The direct entry points
-	// (PQEEstimate, UREstimate, PathEstimate, PathPQEEstimate) do not
-	// route; a non-empty Strategy there only selects the anytime
-	// schedule.
+	// pins one strategy unconditionally. The anytime rule: a routed
+	// call's FPRAS counts always stop sequentially; the direct entry
+	// points (PQEEstimate, UREstimate, PathEstimate, PathPQEEstimate,
+	// UniformReliability) do not route, and stop sequentially exactly
+	// when Strategy or Delta is set, else run the fixed Trials schedule.
 	Strategy string
 	// Delta is the anytime stopping certificate's failure-probability
 	// target in (0,1); ≤ 0 uses the engines' default. Setting it > 0
@@ -94,9 +92,7 @@ func (o Options) ctxErr() error {
 }
 
 // anytime reports whether the FPRAS counting calls use sequential
-// stopping: always on a routed Evaluate (which sets Strategy before
-// counting), and in the direct entry points when Strategy or Delta is
-// set (so their default-options runs keep the fixed schedule).
+// stopping, by the rule documented on Options.Strategy.
 func (o Options) anytime() bool { return o.Strategy != "" || o.Delta > 0 }
 
 func (o Options) countOptions(sc *obs.Scope) count.Options {
@@ -113,18 +109,10 @@ func (o Options) countOptions(sc *obs.Scope) count.Options {
 	}
 }
 
+// nfaOptions are countOptions for the string engine, whose options
+// struct has the same fields.
 func (o Options) nfaOptions(sc *obs.Scope) nfa.CountOptions {
-	return nfa.CountOptions{
-		Epsilon:  o.Epsilon,
-		Trials:   o.Trials,
-		Samples:  o.Samples,
-		Seed:     o.seed(),
-		Anytime:  o.anytime(),
-		Delta:    o.Delta,
-		MaxProcs: o.MaxProcs,
-		Obs:      sc,
-		Ctx:      o.Ctx,
-	}
+	return nfa.CountOptions(o.countOptions(sc))
 }
 
 func (o Options) seed() int64 {
@@ -148,21 +136,11 @@ type Classification struct {
 	Path         bool
 }
 
-// Classify computes the Table 1 coordinates of a query.
+// Classify computes the Table 1 coordinates of a query (maxWidth ≤ 0
+// means |Q|). Like Evaluate it is a one-shot over the session code: a
+// session without an instance, whose stages run with telemetry off.
 func Classify(q *cq.Query, maxWidth int) Classification {
-	c := Classification{
-		SelfJoinFree: q.SelfJoinFree(),
-		Safe:         safeplan.IsSafe(q),
-		Path:         q.IsPath(),
-	}
-	if maxWidth <= 0 {
-		maxWidth = q.Len()
-	}
-	if dec, err := hypertree.Decompose(q); err == nil && dec.Width() <= maxWidth {
-		c.Width = dec.Width()
-		c.BoundedHW = true
-	}
-	return c
+	return (&Estimator{q: q, opts: Options{MaxWidth: maxWidth}}).classification()
 }
 
 // PathEstimate approximates UR(Q, D) for a self-join-free path query

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -16,7 +18,12 @@ import (
 	"pqe/internal/reduction"
 	"pqe/internal/router"
 	"pqe/internal/safeplan"
+	"pqe/internal/trial"
 )
+
+// errNoProbabilities refuses the probability methods of a session built
+// over a plain database.
+var errNoProbabilities = errors.New("core: estimator was built without probabilities")
 
 // BuildStats counts how many times each construction stage actually
 // ran. On a fresh Estimator everything starts at zero; repeated
@@ -95,16 +102,13 @@ type Estimator struct {
 	// request that paid for it — never to one that only waited.
 	phases *obs.Phases
 
-	class     Classification
-	classDone bool
+	class memo[Classification]
 
 	// routeDec memoizes the auto-routing decision of internal/router.
 	// It reads fact counts, so structural invalidation drops it.
-	routeDec *router.Decision
+	routeDec memo[router.Decision]
 
-	dec     *hypertree.Decomposition
-	decErr  error
-	decDone bool
+	dec memo[*hypertree.Decomposition]
 
 	// srcVersion is the database/instance version the caches were last
 	// synchronized to. Public entry points compare it against the live
@@ -120,21 +124,13 @@ type Estimator struct {
 	projDB   *pdb.Database // d projected to the query's relations
 	urb      *reduction.URBuilder
 	pathb    *reduction.PathBuilder
-	urRed    *reduction.URReduction
-	urErr    error
-	urDone   bool
-	pathAuto *nfa.NFA // trimmed PathNFA over projDB
-	pathErr  error
-	pathDone bool
+	urRed    memo[*reduction.URReduction]
+	pathAuto memo[*nfa.NFA] // trimmed PathNFA over projDB
 
 	// Probability-dependent, dropped by SetProbabilities.
-	projH       *pdb.Probabilistic
-	pqeRed      *reduction.PQEReduction
-	pqeErr      error
-	pqeDone     bool
-	pathPQERed  *reduction.PathPQEReduction
-	pathPQEErr  error
-	pathPQEDone bool
+	projH      *pdb.Probabilistic
+	pqeRed     memo[*reduction.PQEReduction]
+	pathPQERed memo[*reduction.PathPQEReduction]
 }
 
 // NewEstimator prepares an evaluation session for Q over the
@@ -174,21 +170,42 @@ func (e *Estimator) BuildStats() BuildStats {
 	}
 }
 
+// memo is one lazily built session stage: its value and error, kept
+// until reset. Callers hold mu.
+type memo[T any] struct {
+	val  T
+	err  error
+	done bool
+}
+
+// get returns the memoized stage, building it first if the memo is
+// empty.
+func (m *memo[T]) get(build func() (T, error)) (T, error) {
+	if !m.done {
+		m.val, m.err = build()
+		m.done = true
+	}
+	return m.val, m.err
+}
+
+// reset empties the memo; the next get rebuilds.
+func (m *memo[T]) reset() { *m = memo[T]{} }
+
 // invalidateWeighted drops the probability-dependent caches: the
 // projected instance and both weighted reductions.
 func (e *Estimator) invalidateWeighted() {
 	e.projH = nil
-	e.pqeRed, e.pqeErr, e.pqeDone = nil, nil, false
-	e.pathPQERed, e.pathPQEErr, e.pathPQEDone = nil, nil, false
+	e.pqeRed.reset()
+	e.pathPQERed.reset()
 }
 
 // invalidateStructural drops the built automata but keeps the
 // incremental builders: the next construction re-derives only the parts
 // over relations reported dirty.
 func (e *Estimator) invalidateStructural() {
-	e.urRed, e.urErr, e.urDone = nil, nil, false
-	e.pathAuto, e.pathErr, e.pathDone = nil, nil, false
-	e.routeDec = nil
+	e.urRed.reset()
+	e.pathAuto.reset()
+	e.routeDec.reset()
 	e.invalidateWeighted()
 }
 
@@ -317,7 +334,7 @@ func (e *Estimator) SetProbabilities(h *pdb.Probabilistic) error {
 	e.life.Lock()
 	defer e.life.Unlock()
 	if e.h == nil {
-		return fmt.Errorf("core: estimator was built without probabilities")
+		return errNoProbabilities
 	}
 	if !sameFactOrdering(e.d, h.DB()) {
 		e.invalidateAll()
@@ -350,19 +367,18 @@ func sameFactOrdering(a, b *pdb.Database) bool {
 // classification returns the query's Table 1 classification, reusing
 // the cached decomposition. Callers hold mu.
 func (e *Estimator) classification() Classification {
-	if e.classDone {
-		return e.class
-	}
-	c := Classification{
-		SelfJoinFree: e.q.SelfJoinFree(),
-		Safe:         safeplan.IsSafe(e.q),
-		Path:         e.q.IsPath(),
-	}
-	if dec, err := e.decomposition(); err == nil && dec.Width() <= e.maxWidth() {
-		c.Width = dec.Width()
-		c.BoundedHW = true
-	}
-	e.class, e.classDone = c, true
+	c, _ := e.class.get(func() (Classification, error) {
+		c := Classification{
+			SelfJoinFree: e.q.SelfJoinFree(),
+			Safe:         safeplan.IsSafe(e.q),
+			Path:         e.q.IsPath(),
+		}
+		if dec, err := e.decomposition(); err == nil && dec.Width() <= e.maxWidth() {
+			c.Width = dec.Width()
+			c.BoundedHW = true
+		}
+		return c, nil
+	})
 	return c
 }
 
@@ -401,6 +417,20 @@ func (e *Estimator) countBuild(counter string, incremental bool) {
 	e.phases.NoteBuild(incremental)
 }
 
+// stage brackets one construction stage: it bumps the stage's
+// pqe_build_* counter, labels the calling request's build, and runs fn
+// under span name in the session scope, accruing the stage's wall time
+// to the request's build phase. Callers hold mu.
+func stage[T any](e *Estimator, counter, name string, fn func(sc *obs.Scope, span *obs.Span) (T, error)) (T, error) {
+	e.countBuild(counter, false)
+	t0 := buildStart(e.phases)
+	sc, span := e.sc.Span(name)
+	v, err := fn(sc, span)
+	span.End()
+	buildEnd(e.phases, t0)
+	return v, err
+}
+
 // buildStart/buildEnd bracket one construction stage for phase
 // attribution. With no sink bound they cost a pointer test and no
 // clock read, preserving the disabled-path contract.
@@ -426,16 +456,11 @@ func (e *Estimator) maxWidth() int {
 }
 
 func (e *Estimator) decomposition() (*hypertree.Decomposition, error) {
-	if !e.decDone {
-		e.countBuild("pqe_build_decompositions_total", false)
-		t0 := buildStart(e.phases)
-		_, span := e.sc.Span("pqe.decompose")
-		e.dec, e.decErr = hypertree.Decompose(e.q)
-		span.End()
-		buildEnd(e.phases, t0)
-		e.decDone = true
-	}
-	return e.dec, e.decErr
+	return e.dec.get(func() (*hypertree.Decomposition, error) {
+		return stage(e, "pqe_build_decompositions_total", "pqe.decompose", func(*obs.Scope, *obs.Span) (*hypertree.Decomposition, error) {
+			return hypertree.Decompose(e.q)
+		})
+	})
 }
 
 // proj returns the database projected to the query's relations, cached.
@@ -460,53 +485,44 @@ func (e *Estimator) projProb() *pdb.Probabilistic {
 // urReduction returns the cached Proposition 1 automaton over the
 // projected database.
 func (e *Estimator) urReduction() (*reduction.URReduction, error) {
-	if e.urDone {
-		return e.urRed, e.urErr
-	}
-	e.urDone = true
-	if !e.q.SelfJoinFree() {
-		e.urErr = fmt.Errorf("%w: query %q has self-joins", ErrUnsupported, e.q)
-		return nil, e.urErr
-	}
-	dec, err := e.decomposition()
-	if err != nil || dec.Width() > e.maxWidth() {
-		e.urErr = fmt.Errorf("%w: no decomposition of width ≤ %d for %q", ErrUnsupported, e.maxWidth(), e.q)
-		return nil, e.urErr
-	}
-	e.countBuild("pqe_build_ur_reductions_total", false)
-	t0 := buildStart(e.phases)
-	defer func() { buildEnd(e.phases, t0) }()
-	sc, span := e.sc.Span("pqe.build_ur")
-	if e.urb == nil {
-		var berr error
-		e.urb, berr = reduction.NewURBuilder(e.q, e.proj(), dec)
-		if berr != nil {
-			span.End()
-			e.urErr = berr
-			return nil, berr
+	return e.urRed.get(func() (*reduction.URReduction, error) {
+		if !e.q.SelfJoinFree() {
+			return nil, fmt.Errorf("%w: query %q has self-joins", ErrUnsupported, e.q)
 		}
-	} else {
-		// The builder carries enumeration caches from the previous build;
-		// only vertices over relations dirtied by ApplyDelta re-derive.
-		e.countBuild("pqe_build_ur_incremental_total", true)
-	}
-	e.urRed, e.urErr = e.urb.Build(sc)
-	if e.urRed != nil {
-		// The weighting interns its digit symbols into this reduction's
-		// interner, which the built automaton shares. Intern them now,
-		// while the reduction is still private to the build critical
-		// section: once published, concurrent counting (the acceptance
-		// index) and decoding read the interner, so it must not be
-		// written again. They get the IDs the weighting would give them.
-		e.urRed.Symbols.Intern(nfta.Digit0)
-		e.urRed.Symbols.Intern(nfta.Digit1)
-	}
-	if span != nil && e.urRed != nil {
-		span.SetAttr("states", e.urRed.Auto.NumStates())
-		span.SetAttr("tree_size", e.urRed.TreeSize)
-	}
-	span.End()
-	return e.urRed, e.urErr
+		dec, err := e.decomposition()
+		if err != nil || dec.Width() > e.maxWidth() {
+			return nil, fmt.Errorf("%w: no decomposition of width ≤ %d for %q", ErrUnsupported, e.maxWidth(), e.q)
+		}
+		return stage(e, "pqe_build_ur_reductions_total", "pqe.build_ur", func(sc *obs.Scope, span *obs.Span) (*reduction.URReduction, error) {
+			if e.urb == nil {
+				if e.urb, err = reduction.NewURBuilder(e.q, e.proj(), dec); err != nil {
+					return nil, err
+				}
+			} else {
+				// The builder carries enumeration caches from the previous
+				// build; only vertices over relations dirtied by ApplyDelta
+				// re-derive.
+				e.countBuild("pqe_build_ur_incremental_total", true)
+			}
+			red, err := e.urb.Build(sc)
+			if red == nil {
+				return nil, err
+			}
+			// The weighting interns its digit symbols into this reduction's
+			// interner, which the built automaton shares. Intern them now,
+			// while the reduction is still private to the build critical
+			// section: once published, concurrent counting (the acceptance
+			// index) and decoding read the interner, so it must not be
+			// written again. They get the IDs the weighting would give them.
+			red.Symbols.Intern(nfta.Digit0)
+			red.Symbols.Intern(nfta.Digit1)
+			if span != nil {
+				span.SetAttr("states", red.Auto.NumStates())
+				span.SetAttr("tree_size", red.TreeSize)
+			}
+			return red, err
+		})
+	})
 }
 
 // pathAutomaton returns the cached, trimmed Section 3 string automaton
@@ -514,62 +530,43 @@ func (e *Estimator) urReduction() (*reduction.URReduction, error) {
 // shares one automaton instance — and with it the dense transition
 // index the string engine caches on it.
 func (e *Estimator) pathAutomaton() (*nfa.NFA, error) {
-	if e.pathDone {
-		return e.pathAuto, e.pathErr
-	}
-	e.pathDone = true
-	if !e.q.IsPath() || !e.q.SelfJoinFree() {
-		e.pathErr = fmt.Errorf("core: PathEstimate needs a self-join-free path query, got %q", e.q)
-		return nil, e.pathErr
-	}
-	e.countBuild("pqe_build_path_automata_total", false)
-	t0 := buildStart(e.phases)
-	defer func() { buildEnd(e.phases, t0) }()
-	sc, span := e.sc.Span("pqe.build_path_nfa")
-	if e.pathb == nil {
-		var berr error
-		e.pathb, berr = reduction.NewPathBuilder(e.q, e.proj())
-		if berr != nil {
-			span.End()
-			e.pathErr = berr
-			return nil, berr
+	return e.pathAuto.get(func() (*nfa.NFA, error) {
+		if !e.q.IsPath() || !e.q.SelfJoinFree() {
+			return nil, fmt.Errorf("core: PathEstimate needs a self-join-free path query, got %q", e.q)
 		}
-	} else {
-		e.countBuild("pqe_build_path_incremental_total", true)
-	}
-	m, err := e.pathb.Build()
-	if err != nil {
-		span.End()
-		e.pathErr = err
-		return nil, err
-	}
-	_, tspan := sc.Span("pqe.trim_path")
-	e.pathAuto = m.Trim()
-	tspan.End()
-	span.End()
-	return e.pathAuto, nil
+		return stage(e, "pqe_build_path_automata_total", "pqe.build_path_nfa", func(sc *obs.Scope, _ *obs.Span) (*nfa.NFA, error) {
+			if e.pathb == nil {
+				var err error
+				if e.pathb, err = reduction.NewPathBuilder(e.q, e.proj()); err != nil {
+					return nil, err
+				}
+			} else {
+				e.countBuild("pqe_build_path_incremental_total", true)
+			}
+			m, err := e.pathb.Build()
+			if err != nil {
+				return nil, err
+			}
+			_, tspan := sc.Span("pqe.trim_path")
+			defer tspan.End()
+			return m.Trim(), nil
+		})
+	})
 }
 
 // pqeReduction returns the cached Theorem 1 weighted automaton,
 // re-weighting the cached UR reduction on first use after construction
 // or SetProbabilities.
 func (e *Estimator) pqeReduction() (*reduction.PQEReduction, error) {
-	if e.pqeDone {
-		return e.pqeRed, e.pqeErr
-	}
-	e.pqeDone = true
-	ur, err := e.urReduction()
-	if err != nil {
-		e.pqeErr = err
-		return nil, err
-	}
-	e.countBuild("pqe_build_weightings_total", false)
-	t0 := buildStart(e.phases)
-	_, span := e.sc.Span("pqe.weight_ur")
-	e.pqeRed, e.pqeErr = reduction.WeightUR(ur, e.projProb())
-	span.End()
-	buildEnd(e.phases, t0)
-	return e.pqeRed, e.pqeErr
+	return e.pqeRed.get(func() (*reduction.PQEReduction, error) {
+		ur, err := e.urReduction()
+		if err != nil {
+			return nil, err
+		}
+		return stage(e, "pqe_build_weightings_total", "pqe.weight_ur", func(*obs.Scope, *obs.Span) (*reduction.PQEReduction, error) {
+			return reduction.WeightUR(ur, e.projProb())
+		})
+	})
 }
 
 // pathPQEReduction returns the cached weighted string automaton,
@@ -577,22 +574,123 @@ func (e *Estimator) pqeReduction() (*reduction.PQEReduction, error) {
 // SetProbabilities. Note the weighted automaton uses the untrimmed
 // base: the gadget expansion re-trims after inserting comparators.
 func (e *Estimator) pathPQEReduction() (*reduction.PathPQEReduction, error) {
-	if e.pathPQEDone {
-		return e.pathPQERed, e.pathPQEErr
+	return e.pathPQERed.get(func() (*reduction.PathPQEReduction, error) {
+		base, err := e.pathAutomaton()
+		if err != nil {
+			return nil, err
+		}
+		return stage(e, "pqe_build_weightings_total", "pqe.weight_path", func(*obs.Scope, *obs.Span) (*reduction.PathPQEReduction, error) {
+			return reduction.WeightPathNFA(e.q, e.projProb(), base)
+		})
+	})
+}
+
+// phase is one row of the mode table: what an FPRAS counting phase
+// counts, and the finish rule that turns its count into the answer.
+type phase struct {
+	mode string
+	span string     // the counting span
+	tree *nfta.NFTA // the counted automaton: a tree automaton for the
+	word *nfa.NFA   // tree modes, a string automaton for the string modes
+	n    int        // the counted tree size or word length
+	// The answer is count · mul / div. UR modes scale by 2^(|D|−|D'|):
+	// facts over relations outside the query are free to be present or
+	// absent. PQE modes divide by ∏dᵢ.
+	mul, div efloat.E
+}
+
+// phase resolves mode's row of the mode table, building its automaton
+// — the one switch from a counting mode to what it counts. Callers hold
+// mu.
+func (e *Estimator) phase(mode string) (phase, error) {
+	ph := phase{mode: mode, mul: efloat.One, div: efloat.One}
+	if (mode == ShardModePQE || mode == ShardModePathPQE) && e.h == nil {
+		return ph, errNoProbabilities
 	}
-	e.pathPQEDone = true
-	base, err := e.pathAutomaton()
+	var err error
+	switch mode {
+	case ShardModeUR:
+		var red *reduction.URReduction
+		if red, err = e.urReduction(); err == nil {
+			ph.span, ph.tree, ph.n = "pqe.ur_estimate", red.Auto, red.TreeSize
+			ph.mul = efloat.Pow2(int64(e.d.Size() - e.proj().Size()))
+		}
+	case ShardModePath:
+		var m *nfa.NFA
+		if m, err = e.pathAutomaton(); err == nil {
+			ph.span, ph.word, ph.n = "pqe.path_estimate", m, e.proj().Size()
+			ph.mul = efloat.Pow2(int64(e.d.Size() - ph.n))
+		}
+	case ShardModePQE:
+		var red *reduction.PQEReduction
+		if red, err = e.pqeReduction(); err == nil {
+			ph.span, ph.tree, ph.n = "pqe.pqe_estimate", red.Auto, red.TreeSize
+			ph.div = efloat.FromBigInt(red.DenProduct)
+		}
+	case ShardModePathPQE:
+		var red *reduction.PathPQEReduction
+		if red, err = e.pathPQEReduction(); err == nil {
+			ph.span, ph.word, ph.n = "pqe.path_pqe_estimate", red.Auto, red.WordSize
+			ph.div = efloat.FromBigInt(red.DenProduct)
+		}
+	default:
+		err = fmt.Errorf("core: unknown shard mode %q", mode)
+	}
+	return ph, err
+}
+
+// states is the state count of the phase's automaton.
+func (ph phase) states() int {
+	if ph.tree != nil {
+		return ph.tree.NumStates()
+	}
+	return ph.word.NumStates()
+}
+
+// countPhase runs a resolved phase outside the build critical section,
+// under the phase's span, through the call's Sharder when set and the
+// local engine otherwise, and finishes the count. It also returns the
+// trials the anytime certificate saved. A call cancelled mid-count
+// returns its context's error: the counting loop bailed early and its
+// value is garbage.
+func (e *Estimator) countPhase(opts Options, ph phase) (efloat.E, int, error) {
+	sc, span := e.scope(opts).Span(ph.span)
+	defer span.End()
+	var res trial.Result
+	switch {
+	case opts.Shard != nil:
+		var err error
+		if res, err = opts.Shard.CountSharded(sc, e.shardSpec(opts, ph)); err != nil {
+			return efloat.Zero, 0, fmt.Errorf("core: sharded %s count: %w", ph.mode, err)
+		}
+	case ph.tree != nil:
+		res = count.Estimate(ph.tree, ph.n, opts.countOptions(sc))
+	default:
+		res = nfa.Estimate(ph.word, ph.n, opts.nfaOptions(sc))
+	}
+	if err := opts.ctxErr(); err != nil {
+		return efloat.Zero, res.Saved, err
+	}
+	return res.Value.Mul(ph.mul).Div(ph.div), res.Saved, nil
+}
+
+// estimate is the count body of the direct entry points: it resolves
+// mode's phase in the build critical section and counts it. Callers
+// hold the read side of life.
+func (e *Estimator) estimate(opts Options, mode string) (efloat.E, error) {
+	if err := opts.ctxErr(); err != nil {
+		return efloat.Zero, err
+	}
+	var ph phase
+	err := e.build(opts, func() (err error) {
+		ph, err = e.phase(mode)
+		return err
+	})
 	if err != nil {
-		e.pathPQEErr = err
-		return nil, err
+		return efloat.Zero, err
 	}
-	e.countBuild("pqe_build_weightings_total", false)
-	t0 := buildStart(e.phases)
-	_, span := e.sc.Span("pqe.weight_path")
-	e.pathPQERed, e.pathPQEErr = reduction.WeightPathNFA(e.q, e.projProb(), base)
-	span.End()
-	buildEnd(e.phases, t0)
-	return e.pathPQERed, e.pathPQEErr
+	v, _, err := e.countPhase(opts, ph)
+	return v, err
 }
 
 // PathEstimate approximates UR(Q, D) through the Theorem 2 string
@@ -601,33 +699,7 @@ func (e *Estimator) pathPQEReduction() (*reduction.PathPQEReduction, error) {
 func (e *Estimator) PathEstimate(opts Options) (efloat.E, error) {
 	e.life.RLock()
 	defer e.life.RUnlock()
-	return e.pathEstimate(opts)
-}
-
-func (e *Estimator) pathEstimate(opts Options) (efloat.E, error) {
-	if err := opts.ctxErr(); err != nil {
-		return efloat.Zero, err
-	}
-	sc, span := e.scope(opts).Span("pqe.path_estimate")
-	defer span.End()
-	var m *nfa.NFA
-	var projSize int
-	err := e.build(opts, func() (err error) {
-		if m, err = e.pathAutomaton(); err == nil {
-			projSize = e.proj().Size()
-		}
-		return err
-	})
-	if err != nil {
-		return efloat.Zero, err
-	}
-	res, err := e.countPhase(sc, opts, ShardModePath, nil, m, projSize)
-	if err != nil {
-		return efloat.Zero, err
-	}
-	// UR(Q, D) = UR(Q, D') · 2^(|D|−|D'|): facts over relations outside
-	// the query are free to be present or absent.
-	return res.Value.Mul(efloat.Pow2(int64(e.d.Size() - projSize))), nil
+	return e.estimate(opts, ShardModePath)
 }
 
 // UREstimate approximates UR(Q, D) through the Theorem 3 tree pipeline,
@@ -635,31 +707,7 @@ func (e *Estimator) pathEstimate(opts Options) (efloat.E, error) {
 func (e *Estimator) UREstimate(opts Options) (efloat.E, error) {
 	e.life.RLock()
 	defer e.life.RUnlock()
-	return e.urEstimate(opts)
-}
-
-func (e *Estimator) urEstimate(opts Options) (efloat.E, error) {
-	if err := opts.ctxErr(); err != nil {
-		return efloat.Zero, err
-	}
-	sc, span := e.scope(opts).Span("pqe.ur_estimate")
-	defer span.End()
-	var red *reduction.URReduction
-	var projSize int
-	err := e.build(opts, func() (err error) {
-		if red, err = e.urReduction(); err == nil {
-			projSize = e.proj().Size()
-		}
-		return err
-	})
-	if err != nil {
-		return efloat.Zero, err
-	}
-	res, err := e.countPhase(sc, opts, ShardModeUR, red.Auto, nil, red.TreeSize)
-	if err != nil {
-		return efloat.Zero, err
-	}
-	return res.Value.Mul(efloat.Pow2(int64(e.d.Size() - projSize))), nil
+	return e.estimate(opts, ShardModeUR)
 }
 
 // UniformReliability approximates UR(Q, D), routing self-join-free
@@ -670,9 +718,9 @@ func (e *Estimator) UniformReliability(opts Options) (efloat.E, error) {
 	e.life.RLock()
 	defer e.life.RUnlock()
 	if e.q.IsPath() && e.q.SelfJoinFree() && binaryOnly(e.d, e.q) {
-		return e.pathEstimate(opts)
+		return e.estimate(opts, ShardModePath)
 	}
-	return e.urEstimate(opts)
+	return e.estimate(opts, ShardModeUR)
 }
 
 // binaryOnly reports whether every fact over the query's relations is
@@ -692,36 +740,8 @@ func binaryOnly(d *pdb.Database, q *cq.Query) bool {
 func (e *Estimator) PQEEstimate(opts Options) (float64, error) {
 	e.life.RLock()
 	defer e.life.RUnlock()
-	if e.h == nil {
-		return 0, fmt.Errorf("core: estimator was built without probabilities")
-	}
-	if err := opts.ctxErr(); err != nil {
-		return 0, err
-	}
-	var weighted *reduction.PQEReduction
-	err := e.build(opts, func() (err error) {
-		weighted, err = e.pqeReduction()
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	res, err := e.countPQE(opts, weighted)
-	return res.Probability, err
-}
-
-// countPQE runs the Theorem 1 counting phase over a resolved weighted
-// automaton, outside the build critical section. The Result carries
-// the trials the anytime certificate saved; the caller sets Class.
-func (e *Estimator) countPQE(opts Options, weighted *reduction.PQEReduction) (Result, error) {
-	sc, span := e.scope(opts).Span("pqe.pqe_estimate")
-	defer span.End()
-	res, err := e.countPhase(sc, opts, ShardModePQE, weighted.Auto, nil, weighted.TreeSize)
-	if err != nil {
-		return Result{trialsSaved: res.Saved}, err
-	}
-	p := res.Value.Ratio(efloat.FromBigInt(weighted.DenProduct))
-	return Result{Probability: p, Method: MethodFPRASTree, trialsSaved: res.Saved}, nil
+	p, err := e.estimate(opts, ShardModePQE)
+	return p.Float(), err
 }
 
 // PathPQEEstimate approximates Pr_H(Q) through the string pipeline
@@ -729,36 +749,8 @@ func (e *Estimator) countPQE(opts Options, weighted *reduction.PQEReduction) (Re
 func (e *Estimator) PathPQEEstimate(opts Options) (float64, error) {
 	e.life.RLock()
 	defer e.life.RUnlock()
-	if e.h == nil {
-		return 0, fmt.Errorf("core: estimator was built without probabilities")
-	}
-	if err := opts.ctxErr(); err != nil {
-		return 0, err
-	}
-	var red *reduction.PathPQEReduction
-	err := e.build(opts, func() (err error) {
-		red, err = e.pathPQEReduction()
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	res, err := e.countPathPQE(opts, red)
-	return res.Probability, err
-}
-
-// countPathPQE runs the string-pipeline counting phase over a resolved
-// weighted automaton, outside the build critical section, like
-// countPQE.
-func (e *Estimator) countPathPQE(opts Options, red *reduction.PathPQEReduction) (Result, error) {
-	sc, span := e.scope(opts).Span("pqe.path_pqe_estimate")
-	defer span.End()
-	res, err := e.countPhase(sc, opts, ShardModePathPQE, nil, red.Auto, red.WordSize)
-	if err != nil {
-		return Result{trialsSaved: res.Saved}, err
-	}
-	p := res.Value.Ratio(efloat.FromBigInt(red.DenProduct))
-	return Result{Probability: p, Method: MethodFPRASPath, trialsSaved: res.Saved}, nil
+	p, err := e.estimate(opts, ShardModePathPQE)
+	return p.Float(), err
 }
 
 // Evaluate routes to the best applicable algorithm (the Table 1
@@ -775,7 +767,7 @@ func (e *Estimator) Evaluate(opts Options) (Result, error) {
 	e.life.RLock()
 	defer e.life.RUnlock()
 	if e.h == nil {
-		return Result{}, fmt.Errorf("core: estimator was built without probabilities")
+		return Result{}, errNoProbabilities
 	}
 	if err := opts.ctxErr(); err != nil {
 		return Result{}, err
@@ -801,50 +793,33 @@ func (e *Estimator) strategy(opts Options) string {
 // also returns the database's fact ordering the mask indexes, copied
 // under the session lock so a later delta cannot reorder it.
 func (e *Estimator) SampleSatisfying(opts Options) ([]bool, []pdb.Fact, error) {
-	e.life.RLock()
-	defer e.life.RUnlock()
-	var red *reduction.URReduction
-	var proj *pdb.Database
-	err := e.build(opts, func() (err error) {
-		if red, err = e.urReduction(); err == nil {
-			proj = e.proj()
-		}
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	tree := count.SampleTree(red.Auto, red.TreeSize, opts.countOptions(e.scope(opts)))
-	if tree == nil {
-		return nil, nil, nil
-	}
-	projMask, err := red.DecodeTree(tree)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: sampled tree failed to decode: %w", err)
-	}
-	rng := opts.rng()
-	return liftMask(e.d, proj, projMask, func(pdb.Fact) bool {
+	return e.sample(opts, ShardModeUR, func(rng *rand.Rand, _ pdb.Fact) bool {
 		return rng.Intn(2) == 0
-	}), e.facts(), nil
+	})
 }
 
 // SampleWorld draws a possible world conditioned on Q through the
 // cached weighted reduction (see the package-level SampleWorld),
 // returning the fact ordering the mask indexes like SampleSatisfying.
 func (e *Estimator) SampleWorld(opts Options) ([]bool, []pdb.Fact, error) {
+	return e.sample(opts, ShardModePQE, func(rng *rand.Rand, f pdb.Fact) bool {
+		return rng.Float64() < e.h.Prob(f).Float()
+	})
+}
+
+// sample is the body of SampleSatisfying and SampleWorld: it draws a
+// near-uniform tree of the tree mode's automaton, decodes it through the
+// UR reduction's bijection, and draws each fact outside the query with
+// coin.
+func (e *Estimator) sample(opts Options, mode string, coin func(*rand.Rand, pdb.Fact) bool) ([]bool, []pdb.Fact, error) {
 	e.life.RLock()
 	defer e.life.RUnlock()
-	if e.h == nil {
-		return nil, nil, fmt.Errorf("core: estimator was built without probabilities")
-	}
+	var ph phase
 	var red *reduction.URReduction
-	var weighted *reduction.PQEReduction
 	var proj *pdb.Database
 	err := e.build(opts, func() (err error) {
-		if red, err = e.urReduction(); err != nil {
-			return err
-		}
-		if weighted, err = e.pqeReduction(); err == nil {
+		if ph, err = e.phase(mode); err == nil {
+			red, _ = e.urReduction() // built by the phase
 			proj = e.proj()
 		}
 		return err
@@ -852,7 +827,7 @@ func (e *Estimator) SampleWorld(opts Options) ([]bool, []pdb.Fact, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	tree := count.SampleTree(weighted.Auto, weighted.TreeSize, opts.countOptions(e.scope(opts)))
+	tree := count.SampleTree(ph.tree, ph.n, opts.countOptions(e.scope(opts)))
 	if tree == nil {
 		return nil, nil, nil
 	}
@@ -860,10 +835,8 @@ func (e *Estimator) SampleWorld(opts Options) ([]bool, []pdb.Fact, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: sampled tree failed to decode: %w", err)
 	}
-	rng := opts.rng()
-	return liftMask(e.d, proj, projMask, func(f pdb.Fact) bool {
-		return rng.Float64() < e.h.Prob(f).Float()
-	}), e.facts(), nil
+	rng := rand.New(rand.NewSource(opts.seed() + 0x9e3779b9))
+	return liftMask(e.d, proj, projMask, func(f pdb.Fact) bool { return coin(rng, f) }), e.facts(), nil
 }
 
 // facts copies the session database's fact ordering. Callers hold the

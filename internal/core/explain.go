@@ -60,28 +60,14 @@ func (e *Estimator) explain(opts Options) (*Report, error) {
 		return r, err
 	}
 	r.Reason = dec.Reason
-	switch dec.Strategy {
-	case router.SafePlan:
-		r.Route = MethodSafePlan
-		return r, nil
-	case router.OBDD:
-		r.Route = MethodOBDD
-		return r, nil
-	case router.Lineage:
-		r.Route = MethodLineage
-		return r, nil
-	case router.MonteCarlo:
-		r.Route = MethodMonteCarlo
-		return r, nil
-	case router.PathNFA:
-		r.Route = MethodFPRASPath
-		return r, nil
-	case router.NFTA:
-		// Fall through to the FPRAS plan details below.
-	default:
+	route, ok := routeMethods[dec.Strategy]
+	if !ok {
 		return r, fmt.Errorf("%w: %q (%s)", ErrUnsupported, e.q, dec.Reason)
 	}
-	r.Route = MethodFPRASTree
+	r.Route = route
+	if dec.Strategy != router.NFTA {
+		return r, nil
+	}
 
 	red, err := e.urReduction()
 	if err != nil {

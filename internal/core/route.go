@@ -8,7 +8,6 @@ import (
 	"pqe/internal/montecarlo"
 	"pqe/internal/obdd"
 	"pqe/internal/pdb"
-	"pqe/internal/reduction"
 	"pqe/internal/router"
 	"pqe/internal/safeplan"
 )
@@ -22,6 +21,16 @@ const forcedLineageLimit = 1 << 20
 // maxOBDDNodes bounds OBDD compilation; past it the dispatch falls back
 // to Shannon-expansion WMC (still exact).
 const maxOBDDNodes = 1 << 17
+
+// routeMethods names the method each routed strategy answers with.
+var routeMethods = map[router.Strategy]Method{
+	router.SafePlan:   MethodSafePlan,
+	router.OBDD:       MethodOBDD,
+	router.Lineage:    MethodLineage,
+	router.MonteCarlo: MethodMonteCarlo,
+	router.PathNFA:    MethodFPRASPath,
+	router.NFTA:       MethodFPRASTree,
+}
 
 // routerClass mirrors the classification into the router's input type.
 func routerClass(c Classification) router.Class {
@@ -38,11 +47,10 @@ func routerClass(c Classification) router.Class {
 // recomputed after any structural invalidation (the decision reads fact
 // counts, which deltas change). Callers hold mu.
 func (e *Estimator) routeDecision() router.Decision {
-	if e.routeDec == nil {
-		d := router.Decide(e.q, e.proj(), routerClass(e.classification()), router.Config{})
-		e.routeDec = &d
-	}
-	return *e.routeDec
+	d, _ := e.routeDec.get(func() (router.Decision, error) {
+		return router.Decide(e.q, e.proj(), routerClass(e.classification()), router.Config{}), nil
+	})
+	return d
 }
 
 // decideStrategy resolves the Strategy knob of one Evaluate call into a
@@ -67,12 +75,11 @@ func (e *Estimator) decideStrategy(strategy string) (router.Decision, error) {
 // routeArtifacts are the session artifacts one routed evaluation runs
 // over, resolved in the build critical section.
 type routeArtifacts struct {
-	class    Classification
-	weighted *reduction.PQEReduction     // NFTA route
-	pathPQE  *reduction.PathPQEReduction // PathNFA route
-	proj     *pdb.Database               // OBDD and lineage routes
-	projH    *pdb.Probabilistic
-	err      error // construction failure of the chosen route
+	class Classification
+	phase phase         // NFTA and PathNFA routes
+	proj  *pdb.Database // OBDD and lineage routes
+	projH *pdb.Probabilistic
+	err   error // construction failure of the chosen route
 }
 
 // resolveRoute builds what the decided route needs. Callers hold mu.
@@ -80,11 +87,14 @@ func (e *Estimator) resolveRoute(dec router.Decision) routeArtifacts {
 	a := routeArtifacts{class: e.classification()}
 	switch dec.Strategy {
 	case router.NFTA:
-		if a.class.SelfJoinFree && a.class.BoundedHW {
-			a.weighted, a.err = e.pqeReduction()
+		if !a.class.SelfJoinFree || !a.class.BoundedHW {
+			a.err = fmt.Errorf("%w: %q (self-join-free=%v, bounded-width=%v)",
+				ErrUnsupported, e.q, a.class.SelfJoinFree, a.class.BoundedHW)
+		} else {
+			a.phase, a.err = e.phase(ShardModePQE)
 		}
 	case router.PathNFA:
-		a.pathPQE, a.err = e.pathPQEReduction()
+		a.phase, a.err = e.phase(ShardModePathPQE)
 	case router.OBDD, router.Lineage:
 		a.proj, a.projH = e.proj(), e.projProb()
 	}
@@ -123,6 +133,7 @@ func (e *Estimator) evaluateRouted(opts Options) (Result, error) {
 		reg.Counter("router_dispatch_" + string(dec.Strategy) + "_total").Inc()
 	}
 	res, err := e.runStrategy(dec, art, opts)
+	res.Class = art.class
 	if reg != nil {
 		reg.Counter("router_trials_saved_total").Add(int64(res.trialsSaved))
 	}
@@ -131,45 +142,35 @@ func (e *Estimator) evaluateRouted(opts Options) (Result, error) {
 }
 
 // runStrategy executes one routing decision over its resolved
-// artifacts.
+// artifacts; the caller sets the Result's Class.
 func (e *Estimator) runStrategy(dec router.Decision, art routeArtifacts, opts Options) (Result, error) {
-	class := art.class
 	switch dec.Strategy {
 	case router.SafePlan:
 		p, err := safeplan.Evaluate(e.q, e.h)
 		if err != nil {
-			return Result{Class: class}, err
+			return Result{}, err
 		}
 		f, _ := p.Float64()
-		return Result{Probability: f, Exact: true, Method: MethodSafePlan, Class: class}, nil
+		return Result{Probability: f, Exact: true, Method: MethodSafePlan}, nil
 	case router.OBDD, router.Lineage:
 		return e.lineageWMC(dec, art, opts)
-	case router.NFTA:
-		if !class.SelfJoinFree || !class.BoundedHW {
-			return Result{Class: class}, fmt.Errorf("%w: %q (self-join-free=%v, bounded-width=%v)",
-				ErrUnsupported, e.q, class.SelfJoinFree, class.BoundedHW)
-		}
+	case router.NFTA, router.PathNFA:
 		if art.err != nil {
-			return Result{Class: class}, art.err
+			return Result{}, art.err
 		}
-		res, err := e.countPQE(opts, art.weighted)
-		res.Class = class
-		return res, err
-	case router.PathNFA:
-		if art.err != nil {
-			return Result{Class: class}, art.err
+		p, saved, err := e.countPhase(opts, art.phase)
+		if err != nil {
+			return Result{trialsSaved: saved}, err
 		}
-		res, err := e.countPathPQE(opts, art.pathPQE)
-		res.Class = class
-		return res, err
+		return Result{Probability: p.Float(), Method: routeMethods[dec.Strategy], trialsSaved: saved}, nil
 	case router.MonteCarlo:
 		p := montecarlo.Estimate(e.q, e.h, montecarlo.Options{
 			Samples: opts.Samples,
 			Seed:    opts.seed(),
 		})
-		return Result{Probability: p, Method: MethodMonteCarlo, Class: class}, nil
+		return Result{Probability: p, Method: MethodMonteCarlo}, nil
 	default:
-		return Result{Class: class}, fmt.Errorf("%w: %q (%s)", ErrUnsupported, e.q, dec.Reason)
+		return Result{}, fmt.Errorf("%w: %q (%s)", ErrUnsupported, e.q, dec.Reason)
 	}
 }
 
@@ -178,7 +179,6 @@ func (e *Estimator) runStrategy(dec router.Decision, art routeArtifacts, opts Op
 // back to Shannon expansion — still exact — past the node budget),
 // Shannon expansion directly otherwise.
 func (e *Estimator) lineageWMC(dec router.Decision, art routeArtifacts, opts Options) (Result, error) {
-	class := art.class
 	sc := e.scope(opts)
 	_, span := sc.Span("router.lineage_wmc")
 	defer span.End()
@@ -188,7 +188,7 @@ func (e *Estimator) lineageWMC(dec router.Decision, art routeArtifacts, opts Opt
 	}
 	f, err := lineage.Compute(e.q, art.proj, limit)
 	if err != nil {
-		return Result{Class: class}, err
+		return Result{}, err
 	}
 	if span != nil {
 		span.SetAttr("clauses", f.NumClauses())
@@ -207,5 +207,5 @@ func (e *Estimator) lineageWMC(dec router.Decision, art routeArtifacts, opts Opt
 		p = f.WMCExact(art.projH)
 	}
 	pf, _ := p.Float64()
-	return Result{Probability: pf, Exact: true, Method: method, Class: class}, nil
+	return Result{Probability: pf, Exact: true, Method: method}, nil
 }

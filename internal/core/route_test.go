@@ -204,7 +204,7 @@ func TestRoutedDecisionMemoizedAndInvalidated(t *testing.T) {
 	if res.Method != MethodOBDD {
 		t.Fatalf("tiny instance routed to %v, want obdd", res.Method)
 	}
-	if e.routeDec == nil {
+	if !e.routeDec.done {
 		t.Fatal("decision not memoized")
 	}
 	// Growing the instance past the lineage threshold must re-route: the
@@ -221,7 +221,7 @@ func TestRoutedDecisionMemoizedAndInvalidated(t *testing.T) {
 	if _, err := e.ApplyDelta(delta); err != nil {
 		t.Fatal(err)
 	}
-	if e.routeDec != nil {
+	if e.routeDec.done {
 		t.Fatal("structural delta did not drop the memoized decision")
 	}
 	res, err = e.Evaluate(Options{Strategy: "auto", Epsilon: 0.1, Seed: 1})

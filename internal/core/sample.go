@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"pqe/internal/cq"
 	"pqe/internal/pdb"
 )
@@ -52,8 +50,4 @@ func liftMask(full, proj *pdb.Database, projMask []bool, coin func(pdb.Fact) boo
 		}
 	}
 	return mask
-}
-
-func (o Options) rng() *rand.Rand {
-	return rand.New(rand.NewSource(o.seed() + 0x9e3779b9))
 }

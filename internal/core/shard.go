@@ -7,16 +7,17 @@ import (
 	"pqe/internal/count"
 	"pqe/internal/efloat"
 	"pqe/internal/nfa"
-	"pqe/internal/nfta"
 	"pqe/internal/obs"
 	"pqe/internal/pdb"
 	"pqe/internal/trial"
 )
 
-// Shard modes name the four FPRAS counting phases a coordinator can
-// distribute. The mode tells a worker which reduction to build and
-// which engine range function to run; everything else about the trial
-// schedule travels in the ShardSpec.
+// Shard modes name the four FPRAS counting phases; Estimator.phase is
+// the mode table that resolves each to the automaton it counts and the
+// rule that turns the count into the answer. A coordinator ships the
+// mode, so a worker builds the same automaton and runs the matching
+// engine range function; everything else about the trial schedule
+// travels in the ShardSpec.
 const (
 	ShardModeUR      = "ur"      // count.Trees over the Proposition 1 automaton
 	ShardModePQE     = "pqe"     // count.Trees over the Theorem 1 weighted automaton
@@ -85,8 +86,7 @@ func (s ShardSpec) Schedule() trial.Schedule {
 // coordinator-side convergence records match what a local run of the
 // same phase would emit.
 func (s ShardSpec) Engine() string {
-	switch s.Mode {
-	case ShardModePath, ShardModePathPQE:
+	if s.Mode == ShardModePath || s.Mode == ShardModePathPQE {
 		return "countnfa"
 	}
 	return "countnfta"
@@ -116,15 +116,15 @@ func (e *Estimator) instanceText() string {
 // shardSpec assembles the dispatchable description of one counting
 // phase, resolving the trial schedule with the trial driver's defaults,
 // as the local engine would.
-func (e *Estimator) shardSpec(opts Options, mode string, n, states int) ShardSpec {
+func (e *Estimator) shardSpec(opts Options, ph phase) ShardSpec {
 	s := trial.Schedule{Epsilon: opts.Epsilon, Trials: opts.Trials, Samples: opts.Samples, Seed: opts.Seed}.Resolve()
 	return ShardSpec{
 		Query:    e.q.String(),
 		DB:       e.instanceText(),
 		MaxWidth: e.opts.MaxWidth,
-		Mode:     mode,
-		N:        n,
-		States:   states,
+		Mode:     ph.mode,
+		N:        ph.n,
+		States:   ph.states(),
 		Epsilon:  s.Epsilon,
 		Trials:   s.Trials,
 		Samples:  s.Samples,
@@ -132,35 +132,6 @@ func (e *Estimator) shardSpec(opts Options, mode string, n, states int) ShardSpe
 		Anytime:  opts.anytime(),
 		Delta:    opts.Delta,
 	}
-}
-
-// countPhase runs one counting phase — over tree for the tree modes,
-// word for the string modes — through the call's Sharder when set, the
-// local engine otherwise. A call cancelled mid-count returns its
-// context's error: the counting loop bailed early and its value is
-// garbage.
-func (e *Estimator) countPhase(sc *obs.Scope, opts Options, mode string, tree *nfta.NFTA, word *nfa.NFA, n int) (trial.Result, error) {
-	var res trial.Result
-	switch {
-	case opts.Shard != nil:
-		var err error
-		if res, err = opts.Shard.CountSharded(sc, e.shardSpec(opts, mode, n, numStates(tree, word))); err != nil {
-			return trial.Result{}, fmt.Errorf("core: sharded %s count: %w", mode, err)
-		}
-	case tree != nil:
-		res = count.Estimate(tree, n, opts.countOptions(sc))
-	default:
-		res = nfa.Estimate(word, n, opts.nfaOptions(sc))
-	}
-	return res, opts.ctxErr()
-}
-
-// numStates is the state count of whichever automaton a phase counts.
-func numStates(tree *nfta.NFTA, word *nfa.NFA) int {
-	if tree != nil {
-		return tree.NumStates()
-	}
-	return word.NumStates()
 }
 
 // CountTrials is the worker half of trial sharding: execute trials
@@ -175,52 +146,23 @@ func (e *Estimator) CountTrials(ctx context.Context, spec ShardSpec, lo, hi, max
 	defer e.life.RUnlock()
 	// Resolve the phase's automaton in the build critical section; the
 	// range itself runs outside it, concurrently with other ranges.
-	var tree *nfta.NFTA
-	var word *nfa.NFA
-	var n int
-	err := e.build(Options{Obs: sc}, func() error {
-		switch spec.Mode {
-		case ShardModeUR:
-			red, err := e.urReduction()
-			if err != nil {
-				return err
-			}
-			tree, n = red.Auto, red.TreeSize
-		case ShardModePQE:
-			weighted, err := e.pqeReduction()
-			if err != nil {
-				return err
-			}
-			tree, n = weighted.Auto, weighted.TreeSize
-		case ShardModePath:
-			m, err := e.pathAutomaton()
-			if err != nil {
-				return err
-			}
-			word, n = m, e.proj().Size()
-		case ShardModePathPQE:
-			red, err := e.pathPQEReduction()
-			if err != nil {
-				return err
-			}
-			word, n = red.Auto, red.WordSize
-		default:
-			return fmt.Errorf("core: unknown shard mode %q", spec.Mode)
-		}
-		return nil
+	var ph phase
+	err := e.build(Options{Obs: sc}, func() (err error) {
+		ph, err = e.phase(spec.Mode)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if states := numStates(tree, word); n != spec.N || states != spec.States {
+	if states := ph.states(); ph.n != spec.N || states != spec.States {
 		return nil, fmt.Errorf("core: shard geometry mismatch for mode %s: built (n=%d, states=%d), spec (n=%d, states=%d)",
-			spec.Mode, n, states, spec.N, spec.States)
+			spec.Mode, ph.n, states, spec.N, spec.States)
 	}
 	// A fixed schedule with the spec's resolved values: ranges never
 	// stop early, the coordinator's driver owns the batches.
 	opts := Options{Epsilon: spec.Epsilon, Trials: spec.Trials, Samples: spec.Samples, Seed: spec.Seed, MaxProcs: maxProcs, Ctx: ctx}
-	if tree != nil {
-		return count.TreesRange(tree, spec.N, opts.countOptions(sc), lo, hi)
+	if ph.tree != nil {
+		return count.TreesRange(ph.tree, spec.N, opts.countOptions(sc), lo, hi)
 	}
-	return nfa.CountRange(word, spec.N, opts.nfaOptions(sc), lo, hi)
+	return nfa.CountRange(ph.word, spec.N, opts.nfaOptions(sc), lo, hi)
 }

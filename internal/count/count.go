@@ -69,8 +69,6 @@ type Options struct {
 	// Samples is the number of samples per overlap term; 0 derives
 	// max(24, ⌈6/ε²⌉).
 	Samples int
-	// MaxRetry bounds canonical-rejection retries; 0 derives a default.
-	MaxRetry int
 	// Seed seeds the per-trial seed sequence (internal/trial). Default 1.
 	Seed int64
 	// Anytime enables sequential stopping: trials run in deterministic
@@ -311,10 +309,9 @@ func SampleTree(a *nfta.NFTA, n int, opts Options) *nfta.Tree {
 // sampler.go). Runs are pooled on the plan, returned the moment their
 // trial ends, and reset on reuse.
 type run struct {
-	pl       *plan
-	seed     int64
-	samples  int
-	maxRetry int
+	pl      *plan
+	seed    int64
+	samples int
 
 	trees   dense.Table // rows: states
 	unions  dense.Table // rows: multi-branch (state, symbol) slots

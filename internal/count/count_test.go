@@ -347,29 +347,6 @@ func TestStatsCollected(t *testing.T) {
 	}
 }
 
-func TestCounterSweepMatchesPointQueries(t *testing.T) {
-	a := fullBinary()
-	c := NewCounter(a, Options{Epsilon: 0.1, Trials: 5, Seed: 21})
-	for n := 1; n <= 13; n += 2 {
-		sweep := c.Count(n)
-		point := Trees(a, n, Options{Epsilon: 0.1, Trials: 5, Seed: 77})
-		if sweep.IsZero() != point.IsZero() {
-			t.Fatalf("size %d: sweep %v vs point %v", n, sweep, point)
-		}
-		if sweep.IsZero() {
-			continue
-		}
-		if r := sweep.Ratio(point); r < 0.7 || r > 1.4 {
-			t.Errorf("size %d: sweep %v vs point %v", n, sweep, point)
-		}
-	}
-	// Samples from the session are valid.
-	tr := c.Sample(9)
-	if tr == nil || tr.Size() != 9 || !a.Accepts(tr) {
-		t.Errorf("bad session sample %v", tr)
-	}
-}
-
 func TestTreesMatchesDeterminizedOracleLarger(t *testing.T) {
 	// Cross-validate against the determinization oracle at sizes the
 	// enumeration oracle cannot reach.
@@ -446,19 +423,5 @@ func TestSampleTreeDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("%s: MaxProcs=%d sample %v, sequential %v", name, procs, got, ref)
 			}
 		}
-	}
-}
-
-func TestCounterDeterministicAcrossWorkers(t *testing.T) {
-	a := heavyOverlap()
-	base := NewCounter(a, Options{Epsilon: 0.1, Trials: 3, Seed: 11})
-	par := NewCounter(a, Options{Epsilon: 0.1, Trials: 3, Seed: 11, MaxProcs: 8})
-	for n := 3; n <= 9; n++ {
-		if b, p := base.Count(n), par.Count(n); b.Cmp(p) != 0 {
-			t.Errorf("size %d: MaxProcs=8 count %v, sequential %v", n, p, b)
-		}
-	}
-	if b, p := base.Sample(9), par.Sample(9); !b.Equal(p) {
-		t.Errorf("session samples diverge: %v vs %v", b, p)
 	}
 }

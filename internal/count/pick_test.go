@@ -7,6 +7,7 @@ import (
 	"pqe/internal/efloat"
 	"pqe/internal/nfta"
 	"pqe/internal/prefix"
+	"pqe/internal/sched"
 	"pqe/internal/splitmix"
 )
 
@@ -33,6 +34,22 @@ func refPick(rng *splitmix.Stream, weights []efloat.E) int {
 		}
 	}
 	return last
+}
+
+// warmRun runs the estimation pass of one trial at size n, seeded as
+// the first trial of a Trees call with opts, and returns the run with
+// every table its samplers read filled.
+func warmRun(a *nfta.NFTA, n int, opts Options) *run {
+	opts = opts.withDefaults()
+	pl, _ := planFor(a)
+	r := pl.getRun(opts, opts.schedule().Seeds()[0])
+	call := newCallState(pl, opts.MaxProcs)
+	sched.Run(sched.Config{Procs: opts.MaxProcs, Trials: 1, Labels: schedLabels}, func(w *sched.Worker, _ int) {
+		r.w, r.call = w, call
+		r.ensurePfx(n)
+		r.treeEst(a.Initial(), n)
+	})
+	return r
 }
 
 // checkPicks draws from row and from the reference scan over ws on twin
@@ -63,9 +80,7 @@ func TestPickRowMatchesPick(t *testing.T) {
 	rows := 0
 	for ai, a := range automata {
 		n := 2 + rng.Intn(6)
-		c := NewCounter(a, Options{Epsilon: 0.3, Trials: 1, Seed: int64(ai)})
-		c.Count(n)
-		r := c.trials[0]
+		r := warmRun(a, n, Options{Epsilon: 0.3, Trials: 1, Seed: int64(ai)})
 		for m := 1; m <= n; m++ {
 			for q, entries := range r.pl.states {
 				ws := make([]efloat.E, len(entries))
@@ -120,9 +135,7 @@ func TestPickEdgeCases(t *testing.T) {
 	// must pick -1 without drawing: the rejection loops rely on dead
 	// branches consuming no variate.
 	a := heavyOverlap()
-	c := NewCounter(a, Options{Epsilon: 0.3, Trials: 1, Seed: 1})
-	c.Count(4)
-	r := c.trials[0]
+	r := warmRun(a, 4, Options{Epsilon: 0.3, Trials: 1, Seed: 1})
 	top := a.Initial()
 	en := &r.pl.states[top][0]
 	if len(en.tuples) < 2 {

@@ -143,7 +143,6 @@ func (pl *plan) getRun(opts Options, seed int64) *run {
 	}
 	r.seed = seed
 	r.samples = opts.Samples
-	r.maxRetry = opts.MaxRetry
 	r.ctx = opts.Ctx
 	return r
 }

@@ -56,6 +56,12 @@ type treeArena struct {
 
 const arenaChunk = 512
 
+// retriesPerBranch bounds canonical-first rejection: a union draw over
+// k branches gives up after retriesPerBranch·k rejected draws. It is a
+// constant, not an option, so every process running a trial range
+// draws exactly as the local run does.
+const retriesPerBranch = 32
+
 func (ar *treeArena) reset() { ar.nused, ar.rused = 0, 0 }
 
 func (ar *treeArena) node(sym int, children []*nfta.Tree) *nfta.Tree {
@@ -144,15 +150,11 @@ func (s *sampler) sampleTree(q, n int) *nfta.Tree {
 		return s.newTree(en.sym, f)
 	}
 	brow := r.branchRow(en, n)
-	maxRetry := r.maxRetry
-	if maxRetry <= 0 {
-		maxRetry = 32 * len(en.tuples)
-	}
 	// Canonical-first rejection: a draw from branch j is kept only if no
 	// earlier branch accepts it, which makes the draw uniform over the
 	// union.
 	var last *nfta.Tree
-	for retry := 0; retry < maxRetry; retry++ {
+	for retry := 0; retry < retriesPerBranch*len(en.tuples); retry++ {
 		j := brow.Pick(&s.rng)
 		if j < 0 {
 			break

@@ -245,11 +245,7 @@ func (s *sampler) refSampleFrom(q, pos int, out []int) bool {
 		en := &r.pl.ix.states[q][i]
 		out[pos] = en.sym
 		if len(en.targets) > 1 {
-			maxRetry := r.maxRetry
-			if maxRetry <= 0 {
-				maxRetry = 32 * len(en.targets)
-			}
-			return s.refSampleUnion(en.targets, en.set, rem-1, maxRetry, pos+1, out)
+			return s.refSampleUnion(en.targets, en.set, rem-1, retriesPerBranch*len(en.targets), pos+1, out)
 		}
 		q = en.targets[0]
 	}
@@ -291,9 +287,7 @@ func TestSingleEntryStepMatchesRowWalk(t *testing.T) {
 			m = randomNFA(rng)
 		}
 		n := 2 + rng.Intn(8)
-		c := NewCounter(m, CountOptions{Epsilon: 0.3, Trials: 1, Seed: int64(trial + 1)})
-		c.Count(n)
-		r := c.trials[0]
+		r := warmRun(m, n, CountOptions{Epsilon: 0.3, Trials: 1, Seed: int64(trial + 1)})
 		for q, entries := range r.pl.ix.states {
 			switch {
 			case len(entries) == 1:

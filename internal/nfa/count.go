@@ -31,9 +31,6 @@ type CountOptions struct {
 	// the practical stand-in, validated against exact counts in the
 	// test suite.
 	Samples int
-	// MaxRetry bounds rejection-sampling retries per draw. 0 derives
-	// a default proportional to the branch fan-out.
-	MaxRetry int
 	// Seed seeds the per-trial seed sequence (internal/trial). Default 1.
 	Seed int64
 	// Anytime enables sequential stopping: trials run in deterministic
@@ -241,11 +238,10 @@ func (r *wordRun) snapshot() trialStats {
 // sampler.go). Runs are pooled on the plan, returned the moment their
 // trial ends, and reset on reuse.
 type wordRun struct {
-	pl       *wordPlan
-	finals   bitset.Set
-	seed     int64
-	samples  int
-	maxRetry int
+	pl      *wordPlan
+	finals  bitset.Set
+	seed    int64
+	samples int
 
 	words  dense.Table // rows: states; |L(q, l)| estimates
 	unions dense.Table // rows: interned target sets; |∪ L(q', l)|

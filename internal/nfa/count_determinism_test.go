@@ -49,50 +49,6 @@ func TestSampleWordDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// A Counter session must agree with one-shot Count at every length and
-// be deterministic across worker counts too, since it shares the same
-// estimators.
-func TestCounterDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 6; trial++ {
-		m := randomNFA(rng)
-		base := NewCounter(m, CountOptions{Epsilon: 0.15, Trials: 3, Seed: 21})
-		par := NewCounter(m, CountOptions{Epsilon: 0.15, Trials: 3, Seed: 21, MaxProcs: 8})
-		for n := 1; n <= 6; n++ {
-			a, b := base.Count(n), par.Count(n)
-			if a.Cmp(b) != 0 {
-				t.Fatalf("trial %d length %d: MaxProcs=8 session gave %v, want %v", trial, n, b, a)
-			}
-		}
-	}
-}
-
-// Counter sweeps must match one-shot Count calls with the same seed:
-// the shared tables are a cache, not a different algorithm. Sweeping
-// ascending or descending must not matter either — larger lengths
-// compute smaller ones as subproblems.
-func TestCounterMatchesCount(t *testing.T) {
-	m := buildAB()
-	up := NewCounter(m, CountOptions{Epsilon: 0.1, Trials: 3, Seed: 17})
-	down := NewCounter(m, CountOptions{Epsilon: 0.1, Trials: 3, Seed: 17})
-	var upVals, downVals [9]string
-	for n := 1; n <= 8; n++ {
-		upVals[n] = up.Count(n).String()
-	}
-	for n := 8; n >= 1; n-- {
-		downVals[n] = down.Count(n).String()
-	}
-	for n := 1; n <= 8; n++ {
-		oneShot := Count(m, n, CountOptions{Epsilon: 0.1, Trials: 3, Seed: 17})
-		if upVals[n] != oneShot.String() {
-			t.Errorf("length %d: session %s vs one-shot %s", n, upVals[n], oneShot)
-		}
-		if upVals[n] != downVals[n] {
-			t.Errorf("length %d: ascending %s vs descending %s", n, upVals[n], downVals[n])
-		}
-	}
-}
-
 // The countnfa_* counters must report the work done and, for a
 // deterministic engine, the same sampling effort at every worker count.
 func TestCountStats(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"pqe/internal/efloat"
 	"pqe/internal/prefix"
+	"pqe/internal/sched"
 	"pqe/internal/splitmix"
 )
 
@@ -32,6 +33,22 @@ func refPick(rng *splitmix.Stream, weights []efloat.E) int {
 		}
 	}
 	return last
+}
+
+// warmRun runs the estimation pass of one trial at length n, seeded as
+// the first trial of a Count call with opts, and returns the run with
+// every table its samplers read filled.
+func warmRun(m *NFA, n int, opts CountOptions) *wordRun {
+	opts = opts.withDefaults()
+	pl, _ := planFor(m)
+	r := pl.getRun(opts, opts.schedule().Seeds()[0])
+	call := newCallState(pl, opts.MaxProcs)
+	sched.Run(sched.Config{Procs: opts.MaxProcs, Trials: 1, Labels: schedLabels}, func(w *sched.Worker, _ int) {
+		r.w, r.call = w, call
+		r.ensurePfx(n)
+		r.topLevel(n)
+	})
+	return r
 }
 
 // checkPicks draws from row and from the reference scan over ws on twin
@@ -62,9 +79,7 @@ func TestPickRowMatchesPick(t *testing.T) {
 	rows := 0
 	for ai, m := range automata {
 		n := 2 + rng.Intn(8)
-		c := NewCounter(m, CountOptions{Epsilon: 0.3, Trials: 1, Seed: int64(ai)})
-		c.Count(n)
-		r := c.trials[0]
+		r := warmRun(m, n, CountOptions{Epsilon: 0.3, Trials: 1, Seed: int64(ai)})
 		for l := 1; l <= n; l++ {
 			for q, entries := range r.pl.ix.states {
 				ws := make([]efloat.E, len(entries))
@@ -111,9 +126,7 @@ func TestPickEdgeCases(t *testing.T) {
 	m.AddTransition(q0, "a", q2)
 	m.SetInitial(q0)
 	m.SetFinal(q1)
-	c := NewCounter(m, CountOptions{Epsilon: 0.3, Trials: 1, Seed: 1})
-	c.Count(2)
-	r := c.trials[0]
+	r := warmRun(m, 2, CountOptions{Epsilon: 0.3, Trials: 1, Seed: 1})
 	en := &r.pl.ix.states[q0][0]
 	if en.set < 0 {
 		t.Fatalf("q0's entry has %d targets, want a union", len(en.targets))

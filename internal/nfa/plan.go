@@ -64,7 +64,6 @@ func (pl *wordPlan) getRun(opts CountOptions, seed int64) *wordRun {
 	}
 	r.seed = seed
 	r.samples = opts.Samples
-	r.maxRetry = opts.MaxRetry
 	r.ctx = opts.Ctx
 	return r
 }

@@ -59,6 +59,12 @@ func (s *sampler) bind(r *wordRun) { s.r = r }
 // subset simulation: one bit of a machine word each.
 const batchWords = 64
 
+// retriesPerBranch bounds canonical-first rejection: a union draw over
+// k targets gives up after retriesPerBranch·k rejected draws. It is a
+// constant, not an option, so every process running a trial range
+// draws exactly as the local run does.
+const retriesPerBranch = 32
+
 // countFresh draws the overlap samples lo ≤ i < hi for union branch j
 // at length l and counts those landing outside all earlier branches.
 // Each sample runs on its own PRNG derived from (trial seed, site, i),
@@ -112,11 +118,7 @@ func (s *sampler) sampleFrom(q, pos int, out []int) bool {
 		en := &entries[i]
 		out[pos] = en.sym
 		if len(en.targets) > 1 {
-			maxRetry := r.maxRetry
-			if maxRetry <= 0 {
-				maxRetry = 32 * len(en.targets)
-			}
-			return s.sampleUnion(en.targets, r.targetRow(en.set, rem-1), maxRetry, pos+1, out)
+			return s.sampleUnion(en.targets, r.targetRow(en.set, rem-1), retriesPerBranch*len(en.targets), pos+1, out)
 		}
 		q = en.targets[0]
 	}
@@ -292,7 +294,7 @@ func (s *sampler) sampleTop(n int) []int {
 		}
 		return out
 	}
-	if !s.sampleUnion(targets, r.targetRow(r.pl.ix.topSet, n), 32*(len(targets)+1), 0, out) {
+	if !s.sampleUnion(targets, r.targetRow(r.pl.ix.topSet, n), retriesPerBranch*(len(targets)+1), 0, out) {
 		return nil
 	}
 	return out

@@ -124,9 +124,8 @@ type Grid struct {
 }
 
 // Grow sizes the grid for rows × sizes 0..n, carrying published rows
-// over (a Counter sweeping upward keeps its cache). It must not run
-// concurrently with readers: engines call it sequentially before
-// estimation.
+// over. It must not run concurrently with readers: engines call it
+// sequentially before estimation.
 func (g *Grid) Grow(rows, n int) {
 	if n < g.width {
 		return
