@@ -70,10 +70,13 @@ func TestGoldenRoutedEstimates(t *testing.T) {
 	}
 }
 
-// goldenCounters is one routed call's path-NFA engine effort, read from
-// the countnfa_*_total registry counters.
+// goldenCounters is one call's engine effort, read from the
+// *_total registry counters in field order: union_samples,
+// accept_checks, rejections, the engine's two memo key counts
+// (word_keys and union_keys for countnfa, tree_keys and forest_keys
+// for countnfta) and memo_hits.
 type goldenCounters struct {
-	unionSamples, acceptChecks, rejections, wordKeys, unionKeys, memoHits int64
+	unionSamples, acceptChecks, rejections, keysA, keysB, memoHits int64
 }
 
 // goldenEngineCounters pins the countnfa_* totals of the three path
@@ -87,11 +90,24 @@ var goldenEngineCounters = map[string][4]goldenCounters{
 	"path3-churn":    {{1560, 2943, 674, 3800, 23, 3721}, {1560, 3075, 827, 3800, 23, 3721}, {1560, 3068, 775, 3800, 23, 3721}, {1560, 3154, 840, 3800, 23, 3721}},
 }
 
+// goldenTreeCounters pins the countnfta_* totals of triangle-half, the
+// shape routed to the tree engine, the same way.
+var goldenTreeCounters = map[string][4]goldenCounters{
+	"triangle-half": {{21600, 21600, 0, 495, 0, 447}, {21600, 21600, 0, 495, 0, 447}, {21600, 21600, 0, 495, 0, 447}, {21600, 21600, 0, 495, 0, 447}},
+}
+
+// engineCounters reads one engine's goldenCounters from reg.
+func engineCounters(reg *obs.Registry, engine, keysA, keysB string) goldenCounters {
+	c := func(name string) int64 { return reg.Counter(engine + "_" + name + "_total").Value() }
+	return goldenCounters{c("union_samples"), c("accept_checks"), c("rejections"), c(keysA), c(keysB), c("memo_hits")}
+}
+
 func TestGoldenEngineCounters(t *testing.T) {
 	for _, sh := range goldenShapes() {
-		want, ok := goldenEngineCounters[sh.name]
-		if !ok {
-			continue // routed to the tree engine
+		wantWord, word := goldenEngineCounters[sh.name]
+		wantTree, tree := goldenTreeCounters[sh.name]
+		if !word && !tree {
+			t.Fatalf("%s: no engine-counter row", sh.name)
 		}
 		for seed := int64(1); seed <= 4; seed++ {
 			for _, procs := range []int{1, 4} {
@@ -102,10 +118,41 @@ func TestGoldenEngineCounters(t *testing.T) {
 				}); err != nil {
 					t.Fatalf("%s seed %d MaxProcs %d: %v", sh.name, seed, procs, err)
 				}
-				c := func(name string) int64 { return reg.Counter("countnfa_" + name + "_total").Value() }
-				got := goldenCounters{c("union_samples"), c("accept_checks"), c("rejections"), c("word_keys"), c("union_keys"), c("memo_hits")}
-				if got != want[seed-1] {
-					t.Errorf("%s seed %d MaxProcs %d: counters %+v, want %+v", sh.name, seed, procs, got, want[seed-1])
+				if got := engineCounters(reg, "countnfa", "word_keys", "union_keys"); word && got != wantWord[seed-1] {
+					t.Errorf("%s seed %d MaxProcs %d: countnfa counters %+v, want %+v", sh.name, seed, procs, got, wantWord[seed-1])
+				}
+				if got := engineCounters(reg, "countnfta", "tree_keys", "forest_keys"); tree && got != wantTree[seed-1] {
+					t.Errorf("%s seed %d MaxProcs %d: countnfta counters %+v, want %+v", sh.name, seed, procs, got, wantTree[seed-1])
+				}
+			}
+		}
+	}
+}
+
+// goldenFixedTreeCounters pins the countnfta_* totals of the fixed PQE
+// pipeline on path3-churn, whose tree-engine draws take canonical-first
+// rejections (triangle-half's take none), per seed; MaxProcs 1 and 4
+// must both reproduce them.
+var goldenFixedTreeCounters = [4]goldenCounters{
+	{5352, 7606, 1379, 7208, 0, 7181}, {5352, 7623, 1394, 7208, 0, 7181}, {5352, 7574, 1357, 7208, 0, 7181}, {5352, 7589, 1358, 7208, 0, 7181},
+}
+
+func TestGoldenFixedTreeCounters(t *testing.T) {
+	for _, sh := range goldenShapes() {
+		if sh.name != "path3-churn" {
+			continue
+		}
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, procs := range []int{1, 4} {
+				reg := obs.NewRegistry()
+				if _, err := PQEEstimate(sh.q, sh.h, Options{
+					Epsilon: sh.eps, Trials: sh.trials, Seed: seed, MaxProcs: procs,
+					Obs: obs.NewScope(nil, reg, nil),
+				}); err != nil {
+					t.Fatalf("%s seed %d MaxProcs %d: %v", sh.name, seed, procs, err)
+				}
+				if got := engineCounters(reg, "countnfta", "tree_keys", "forest_keys"); got != goldenFixedTreeCounters[seed-1] {
+					t.Errorf("%s seed %d MaxProcs %d: countnfta counters %+v, want %+v", sh.name, seed, procs, got, goldenFixedTreeCounters[seed-1])
 				}
 			}
 		}
