@@ -24,6 +24,7 @@ import (
 	"pqe/internal/nfta"
 	"pqe/internal/reduction"
 	"pqe/internal/safeplan"
+	"pqe/internal/union"
 )
 
 var benchSink any
@@ -312,7 +313,7 @@ func BenchmarkCountNFA(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = nfa.Count(m, d.Size(), nfa.CountOptions{Epsilon: 0.1, Seed: int64(i + 1)})
+		benchSink = nfa.Count(m, d.Size(), union.Options{Epsilon: 0.1, Seed: int64(i + 1)})
 	}
 }
 
@@ -332,7 +333,7 @@ func BenchmarkCountNFTA(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink = count.Trees(red.Auto, red.TreeSize, count.Options{Epsilon: 0.1, Seed: int64(i + 1), MaxProcs: w})
+				benchSink = count.Trees(red.Auto, red.TreeSize, union.Options{Epsilon: 0.1, Seed: int64(i + 1), MaxProcs: w})
 			}
 		})
 	}

@@ -15,6 +15,7 @@ import (
 	"pqe/internal/gen"
 	"pqe/internal/nfta"
 	"pqe/internal/obs"
+	"pqe/internal/union"
 )
 
 // benchRecord is one machine-readable benchmark row in
@@ -192,7 +193,7 @@ func runJSONBench(path string, eps float64, seed int64, workers int, stdout io.W
 		reg := obs.NewRegistry()
 		var v efloat.E
 		ops, ns, allocs, bytes := measure(func(i int) {
-			v = count.Trees(a, 24, count.Options{
+			v = count.Trees(a, 24, union.Options{
 				Epsilon: eps, Trials: 3, Seed: seed + int64(i), MaxProcs: w, Obs: obs.NewScope(nil, reg, nil),
 			})
 		})
@@ -201,7 +202,7 @@ func runJSONBench(path string, eps float64, seed int64, workers int, stdout io.W
 		}
 		rec := record("CountTrees/heavyOverlap/n=24", w, ops, ns, allocs, bytes, reg)
 		rec.Stages = measureStages(stageRuns, func(sc *obs.Scope, i int) {
-			count.Trees(a, 24, count.Options{
+			count.Trees(a, 24, union.Options{
 				Epsilon: eps, Trials: 3, Seed: seed + int64(i), MaxProcs: w, Obs: sc,
 			})
 		})

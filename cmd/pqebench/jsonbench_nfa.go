@@ -13,6 +13,7 @@ import (
 	"pqe/internal/nfa"
 	"pqe/internal/obs"
 	"pqe/internal/reduction"
+	"pqe/internal/union"
 )
 
 // nfaBenchStats carries the string engine's effort counters (per op),
@@ -123,7 +124,7 @@ func runJSONBenchNFA(path string, eps float64, seed int64, workers int, stdout i
 			}
 			reg := obs.NewRegistry()
 			ops, ns, allocs, bytes := measure(func(i int) {
-				v := nfa.Count(m, d.Size(), nfa.CountOptions{
+				v := nfa.Count(m, d.Size(), union.Options{
 					Epsilon: eps, Seed: seed + int64(i), MaxProcs: w, Obs: obs.NewScope(nil, reg, nil),
 				})
 				if v.IsZero() {
@@ -133,7 +134,7 @@ func runJSONBenchNFA(path string, eps float64, seed int64, workers int, stdout i
 			rec := nfaRecord(
 				fmt.Sprintf("CountNFA/path3_facts=%d", d.Size()), w, ops, ns, allocs, bytes, reg)
 			rec.Stages = measureStages(stageRuns, func(sc *obs.Scope, i int) {
-				nfa.Count(m, d.Size(), nfa.CountOptions{
+				nfa.Count(m, d.Size(), union.Options{
 					Epsilon: eps, Seed: seed + int64(i), MaxProcs: w, Obs: sc,
 				})
 			})

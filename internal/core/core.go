@@ -19,17 +19,19 @@ import (
 	"context"
 	"errors"
 
-	"pqe/internal/count"
 	"pqe/internal/cq"
 	"pqe/internal/efloat"
-	"pqe/internal/nfa"
 	"pqe/internal/obs"
 	"pqe/internal/pdb"
+	"pqe/internal/union"
 )
 
 // Options configures the estimators.
 type Options struct {
-	// Epsilon is the target relative error, in (0,1). Default 0.1.
+	// Epsilon is the target relative error of a single FPRAS trial, in
+	// (0,1); the answer is the median of the trials. Default 0.1. It is
+	// not the answer's certified error: after an early anytime stop the
+	// median is only certified to (1+ε)²/(1−ε) − 1 (ROADMAP item 2).
 	Epsilon float64
 	// Trials is the number of independent estimates whose median is
 	// taken. Default 5.
@@ -95,8 +97,10 @@ func (o Options) ctxErr() error {
 // stopping, by the rule documented on Options.Strategy.
 func (o Options) anytime() bool { return o.Strategy != "" || o.Delta > 0 }
 
-func (o Options) countOptions(sc *obs.Scope) count.Options {
-	return count.Options{
+// countOptions are the options of one counting call, for either
+// engine.
+func (o Options) countOptions(sc *obs.Scope) union.Options {
+	return union.Options{
 		Epsilon:  o.Epsilon,
 		Trials:   o.Trials,
 		Samples:  o.Samples,
@@ -107,12 +111,6 @@ func (o Options) countOptions(sc *obs.Scope) count.Options {
 		Obs:      sc,
 		Ctx:      o.Ctx,
 	}
-}
-
-// nfaOptions are countOptions for the string engine, whose options
-// struct has the same fields.
-func (o Options) nfaOptions(sc *obs.Scope) nfa.CountOptions {
-	return nfa.CountOptions(o.countOptions(sc))
 }
 
 func (o Options) seed() int64 {

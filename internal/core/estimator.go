@@ -666,7 +666,7 @@ func (e *Estimator) countPhase(opts Options, ph phase) (efloat.E, int, error) {
 	case ph.tree != nil:
 		res = count.Estimate(ph.tree, ph.n, opts.countOptions(sc))
 	default:
-		res = nfa.Estimate(ph.word, ph.n, opts.nfaOptions(sc))
+		res = nfa.Estimate(ph.word, ph.n, opts.countOptions(sc))
 	}
 	if err := opts.ctxErr(); err != nil {
 		return efloat.Zero, res.Saved, err

@@ -164,5 +164,5 @@ func (e *Estimator) CountTrials(ctx context.Context, spec ShardSpec, lo, hi, max
 	if ph.tree != nil {
 		return count.TreesRange(ph.tree, spec.N, opts.countOptions(sc), lo, hi)
 	}
-	return nfa.CountRange(ph.word, spec.N, opts.nfaOptions(sc), lo, hi)
+	return nfa.CountRange(ph.word, spec.N, opts.countOptions(sc), lo, hi)
 }

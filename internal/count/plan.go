@@ -3,11 +3,10 @@ package count
 import (
 	"encoding/binary"
 	"sort"
-	"sync"
 
 	"pqe/internal/dense"
 	"pqe/internal/nfta"
-	"pqe/internal/splitmix"
+	"pqe/internal/union"
 )
 
 // symTrans groups one state's outgoing transitions on one symbol: the
@@ -24,13 +23,13 @@ type symTrans struct {
 // chains, per-state symbol entries) and the dense-table geometry derived
 // from it. It is built once per automaton and cached on the automaton
 // itself (nfta.EnginePlan), so every trial, call and session over the
-// same automaton shares one plan. The plan also pools the mutable
-// per-trial runs and sampler sessions, so steady-state repeated
-// estimation allocates near zero.
+// same automaton shares one plan. The embedded harness plan pools the
+// mutable per-trial runs and sampler sessions.
 //
 // Everything outside the pool free-lists is frozen after buildPlan and
 // safe for unsynchronized concurrent reads.
 type plan struct {
+	union.Plan[*run, *sampler]
 	a *nfta.NFTA
 
 	// Per-state symbol entries (sorted by symbol), interned children
@@ -40,20 +39,19 @@ type plan struct {
 	tuples [][]int
 	restID []int
 	slots  int // rows of the unions table (multi-branch entries)
-
-	mu       sync.Mutex
-	freeRuns []*run
-	freeSmps []*sampler
 }
 
-// maxPooled caps each free list so a burst of concurrent sessions does
-// not pin memory forever.
-const maxPooled = 16
+// kind names the tree engine's telemetry.
+var kind = union.NewKind("countnfta", "count", "count.trees", [2]string{"tree_keys", "forest_keys"}, "interned_tuples")
 
 // planFor returns the automaton's cached plan, building and caching it
 // on a miss. Concurrent builders may race; each result is equivalent
-// and fully usable, and the last store wins.
+// and fully usable, and the last store wins. It panics on an automaton
+// with λ-transitions, which the engine cannot count.
 func planFor(a *nfta.NFTA) (pl *plan, hit bool) {
+	if a.HasLambda() {
+		panic("count: automaton has λ-transitions; run EliminateLambda first")
+	}
 	if v, ok := a.EnginePlan(); ok {
 		if pl, ok := v.(*plan); ok {
 			return pl, true
@@ -108,7 +106,18 @@ func buildPlan(a *nfta.NFTA) *plan {
 		}
 		pl.states[q] = entries
 	}
+	pl.Init(kind, a.NumStates(), len(pl.tuples), pl.newRun, func() *sampler { return newSampler(pl) })
 	return pl
+}
+
+// newRun returns a fresh run over the plan's geometry.
+func (pl *plan) newRun() *run {
+	return &run{
+		pl:      pl,
+		trees:   dense.NewTable(len(pl.states)),
+		unions:  dense.NewTable(pl.slots),
+		forests: dense.NewTable(len(pl.tuples)),
+	}
 }
 
 // appendTupleKey appends a varint encoding of the children tuple — the
@@ -119,130 +128,4 @@ func appendTupleKey(dst []byte, children []int) []byte {
 		dst = binary.AppendUvarint(dst, uint64(c))
 	}
 	return dst
-}
-
-// getRun hands out a pooled (or fresh) run configured for one trial.
-// Pooled runs are reset here, on reuse, not on release.
-func (pl *plan) getRun(opts Options, seed int64) *run {
-	pl.mu.Lock()
-	var r *run
-	if k := len(pl.freeRuns); k > 0 {
-		r = pl.freeRuns[k-1]
-		pl.freeRuns = pl.freeRuns[:k-1]
-	}
-	pl.mu.Unlock()
-	if r == nil {
-		r = &run{
-			pl:      pl,
-			trees:   dense.NewTable(len(pl.states)),
-			unions:  dense.NewTable(pl.slots),
-			forests: dense.NewTable(len(pl.tuples)),
-		}
-	} else {
-		r.reset()
-	}
-	r.seed = seed
-	r.samples = opts.Samples
-	r.ctx = opts.Ctx
-	return r
-}
-
-// getSampler hands out a pooled (or fresh) sampler session. The caller
-// binds it to a run and, for escaping draws, clears its arena.
-func (pl *plan) getSampler() *sampler {
-	pl.mu.Lock()
-	if k := len(pl.freeSmps); k > 0 {
-		s := pl.freeSmps[k-1]
-		pl.freeSmps = pl.freeSmps[:k-1]
-		pl.mu.Unlock()
-		return s
-	}
-	pl.mu.Unlock()
-	return newSampler(pl)
-}
-
-func (pl *plan) putSamplerLocked(s *sampler) {
-	s.r = nil
-	s.rejections, s.acceptChecks = 0, 0
-	if len(pl.freeSmps) < maxPooled {
-		pl.freeSmps = append(pl.freeSmps, s)
-	}
-}
-
-// putRun returns one finished trial's run (with its top-level sampler)
-// to the pool. Callers snapshot the run's counters first.
-func (pl *plan) putRun(r *run) {
-	pl.mu.Lock()
-	if r.top != nil {
-		pl.putSamplerLocked(r.top)
-		r.top = nil
-	}
-	r.w, r.call = nil, nil
-	if len(pl.freeRuns) < maxPooled {
-		pl.freeRuns = append(pl.freeRuns, r)
-	}
-	pl.mu.Unlock()
-}
-
-// releaseCall returns a call's worker samplers to the pool. Callers
-// must be done reading their counters.
-func (pl *plan) releaseCall(call *callState) {
-	pl.mu.Lock()
-	for _, s := range call.smps {
-		if s != nil {
-			pl.putSamplerLocked(s)
-		}
-	}
-	pl.mu.Unlock()
-}
-
-// callState is the per-call shared context of one Trees/Count call:
-// the worker-local samplers, indexed by dense scheduler worker ID. Each
-// slot is only ever touched by the worker owning that ID (and read by
-// the caller after the scheduler drains), so no synchronization is
-// needed.
-type callState struct {
-	pl   *plan
-	smps []*sampler
-}
-
-func newCallState(pl *plan, procs int) *callState {
-	return &callState{pl: pl, smps: make([]*sampler, procs)}
-}
-
-// sampler returns the calling worker's sampler, creating it on first
-// use.
-func (c *callState) sampler(id int) *sampler {
-	if s := c.smps[id]; s != nil {
-		return s
-	}
-	s := c.pl.getSampler()
-	c.smps[id] = s
-	return s
-}
-
-// totals sums the sampling effort counters across the call's worker
-// samplers. Per-sample work is deterministic, so the totals match the
-// sequential run regardless of which worker drew which sample.
-func (c *callState) totals() (rejections, acceptChecks int) {
-	for _, s := range c.smps {
-		if s != nil {
-			rejections += s.rejections
-			acceptChecks += s.acceptChecks
-		}
-	}
-	return rejections, acceptChecks
-}
-
-// topSampler lazily creates the run's persistent top-level sampling
-// session (successive draws advance its stream). Top-level draws escape
-// to callers, so the sampler must not arena-allocate.
-func (r *run) topSampler() *sampler {
-	if r.top == nil {
-		r.top = r.pl.getSampler()
-		r.top.rng = splitmix.New(uint64(r.seed) ^ splitmix.TopSamplerSalt)
-		r.top.arena = nil
-		r.top.bind(r)
-	}
-	return r.top
 }

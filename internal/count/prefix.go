@@ -9,15 +9,6 @@ import (
 // built on first use per cell and shared by every sampler of the trial.
 // The builders below only say what each row's weights are.
 
-// ensurePfx sizes the row grids for sizes 0..n, carrying cached rows
-// over on growth. Called sequentially before estimation; the grids are
-// then read (and lazily filled) concurrently by samplers.
-func (r *run) ensurePfx(n int) {
-	r.entryPfx.Grow(len(r.pl.states), n)
-	r.branchPfx.Grow(r.pl.slots, n)
-	r.splitPfx.Grow(len(r.pl.tuples), n)
-}
-
 // entryRow returns the row over state q's symbol entries at size n:
 // weight i is unionLookup(entries[i], n).
 func (r *run) entryRow(q, n int) *prefix.Row {

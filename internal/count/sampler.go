@@ -4,32 +4,22 @@ import (
 	"pqe/internal/bitset"
 	"pqe/internal/nfta"
 	"pqe/internal/splitmix"
+	"pqe/internal/union"
 )
 
-// sampler is a sampling session over a frozen run: it draws trees and
-// forests reading the memo tables and the plan's transition structure
-// but never writing them, so any number of samplers may run
-// concurrently over one run. All scratch state (bitset pool, forest
-// buffer, rejection counter) lives here; the scheduler binds one
-// sampler per worker, rebinding it to the chunk's run at every chunk
-// boundary (bind), so a sampler serves many trials within a call.
-//
-// The invariant the read-only lookups rely on: a sampler is only ever
-// asked for (state, size) pairs whose estimates were computed — the
-// estimation pass at a given size computes exactly the sub-estimates
-// its sampling consults (all strictly smaller sizes), and the
-// top-level APIs run treeEst before sampling.
+// sampler is the tree engine's union.Sampler: it draws trees and
+// forests from a run's memo tables and the plan's transition structure,
+// with its scratch (bitset pool, forest buffer, tree arena) kept here.
 type sampler struct {
-	r          *run
-	rng        splitmix.Stream
-	pool       *bitset.Pool
-	sets       []bitset.Set // scratch for firstAccepting
-	forestBuf  []*nfta.Tree // transient forest for overlap testing
-	arena      *treeArena   // nil when sampled trees escape to callers
-	rejections int
-	// acceptChecks counts acceptance-bitset computations (one per forest
-	// tree membership-tested), summed per call like rejections.
-	acceptChecks int
+	// Effort.AcceptChecks counts acceptance-bitset computations (one
+	// per forest tree membership-tested).
+	union.Effort
+	r         *run
+	rng       splitmix.Stream
+	pool      *bitset.Pool
+	sets      []bitset.Set // scratch for firstAccepting
+	forestBuf []*nfta.Tree // transient forest for overlap testing
+	arena     *treeArena   // nil when sampled trees escape to callers
 }
 
 func newSampler(pl *plan) *sampler {
@@ -38,10 +28,16 @@ func newSampler(pl *plan) *sampler {
 	}
 }
 
-// bind points the sampler at a run. Samplers are plan-scoped (the
+// Bind points the sampler at a run. Samplers are plan-scoped (the
 // bitset pool is sized to the automaton), so binding only swaps the
 // memo tables it reads.
-func (s *sampler) bind(r *run) { s.r = r }
+func (s *sampler) Bind(r *run) { s.r = r }
+
+// BindTop binds the sampler for top-level draws on rng. Those trees
+// escape to callers, so the sampler must not arena-allocate.
+func (s *sampler) BindTop(r *run, rng splitmix.Stream) {
+	s.r, s.rng, s.arena = r, rng, nil
+}
 
 // treeArena bump-allocates tree nodes and children slices in reusable
 // chunks. Overlap sampling builds a forest only to membership-test and
@@ -55,12 +51,6 @@ type treeArena struct {
 }
 
 const arenaChunk = 512
-
-// retriesPerBranch bounds canonical-first rejection: a union draw over
-// k branches gives up after retriesPerBranch·k rejected draws. It is a
-// constant, not an option, so every process running a trial range
-// draws exactly as the local run does.
-const retriesPerBranch = 32
 
 func (ar *treeArena) reset() { ar.nused, ar.rused = 0, 0 }
 
@@ -106,18 +96,16 @@ func (s *sampler) newForest(n int) []*nfta.Tree {
 	return make([]*nfta.Tree, n)
 }
 
-// countFresh draws the overlap samples lo ≤ i < hi for union branch j
-// at size n and counts those landing outside all earlier branches. Each
-// sample runs on its own PRNG derived from (trial seed, site, i), so
-// the count is independent of how samples are partitioned across
-// workers and chunks.
-func (s *sampler) countFresh(tuples []int, j, n int, site uint64, lo, hi int) int {
+// CountFresh is the tree engine's overlap kernel (union.Sampler): each
+// sample draws a forest into the arena and tests it against the
+// earlier branches' tuples.
+func (s *sampler) CountFresh(tuples []int, j, n int, site uint64, lo, hi int) int {
 	if s.arena == nil {
 		s.arena = &treeArena{}
 	}
 	fresh := 0
 	for i := lo; i < hi; i++ {
-		s.rng = splitmix.Derive(s.r.seed, site, i)
+		s.rng = splitmix.Derive(s.r.Seed, site, i)
 		s.arena.reset()
 		f, ok := s.sampleForestScratch(tuples[j], n-1)
 		if !ok {
@@ -154,7 +142,7 @@ func (s *sampler) sampleTree(q, n int) *nfta.Tree {
 	// earlier branch accepts it, which makes the draw uniform over the
 	// union.
 	var last *nfta.Tree
-	for retry := 0; retry < retriesPerBranch*len(en.tuples); retry++ {
+	for retry := 0; retry < union.RetriesPerBranch*len(en.tuples); retry++ {
 		j := brow.Pick(&s.rng)
 		if j < 0 {
 			break
@@ -167,7 +155,7 @@ func (s *sampler) sampleTree(q, n int) *nfta.Tree {
 		if j == 0 || s.firstAccepting(en.tuples[:j], f) < 0 {
 			return last
 		}
-		s.rejections++
+		s.Rejections++
 	}
 	// Retry budget exhausted: return the latest draw (slightly biased
 	// towards multiply-covered trees; the budget makes this path rare).
@@ -243,7 +231,7 @@ func (s *sampler) sampleForestInto(tid, m int, out []*nfta.Tree) bool {
 func (s *sampler) firstAccepting(tuples []int, forest []*nfta.Tree) int {
 	r := s.r
 	sets := s.sets[:0]
-	s.acceptChecks += len(forest)
+	s.AcceptChecks += len(forest)
 	for _, t := range forest {
 		b := s.pool.Get()
 		r.pl.a.AcceptingStatesInto(t, b, s.pool)

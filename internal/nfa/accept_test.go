@@ -61,8 +61,8 @@ func TestAcceptsSetFrontierDies(t *testing.T) {
 	if s.acceptsSet([]int{0}, []int{b, b}) {
 		t.Fatal("accepted bb from q0")
 	}
-	if s.acceptChecks != 3 {
-		t.Fatalf("acceptChecks = %d, want one per call", s.acceptChecks)
+	if s.AcceptChecks != 3 {
+		t.Fatalf("acceptChecks = %d, want one per call", s.AcceptChecks)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"pqe/internal/obs"
 	"pqe/internal/splitmix"
+	"pqe/internal/union"
 )
 
 // branchyNFA is a random automaton with more states and wider
@@ -171,7 +172,7 @@ func refCountFresh(s *sampler, targets []int, j, l int, site uint64, lo, hi int)
 	buf := make([]int, l)
 	fresh := 0
 	for i := lo; i < hi; i++ {
-		s.rng = splitmix.Derive(s.r.seed, site, i)
+		s.rng = splitmix.Derive(s.r.Seed, site, i)
 		if !s.sampleFrom(targets[j], 0, buf) {
 			continue
 		}
@@ -195,9 +196,9 @@ func TestCountFreshBatchBoundaries(t *testing.T) {
 	}
 	var checks, fresh int
 	tally := func(s *sampler, targets []int, j, l int, site uint64, lo, hi int) int {
-		before := s.acceptChecks
+		before := s.AcceptChecks
 		f := refCountFresh(s, targets, j, l, site, lo, hi)
-		checks += s.acceptChecks - before
+		checks += s.AcceptChecks - before
 		fresh += f
 		return f
 	}
@@ -245,7 +246,7 @@ func (s *sampler) refSampleFrom(q, pos int, out []int) bool {
 		en := &r.pl.ix.states[q][i]
 		out[pos] = en.sym
 		if len(en.targets) > 1 {
-			return s.refSampleUnion(en.targets, en.set, rem-1, retriesPerBranch*len(en.targets), pos+1, out)
+			return s.refSampleUnion(en.targets, en.set, rem-1, union.RetriesPerBranch*len(en.targets), pos+1, out)
 		}
 		q = en.targets[0]
 	}
@@ -267,7 +268,7 @@ func (s *sampler) refSampleUnion(targets []int, set, l, maxRetry, pos int, out [
 		if j == 0 || !s.acceptsSet(targets[:j], out[pos:]) {
 			return true
 		}
-		s.rejections++
+		s.Rejections++
 	}
 	return have
 }
@@ -304,7 +305,7 @@ func TestSingleEntryStepMatchesRowWalk(t *testing.T) {
 					a.rng, b.rng = splitmix.New(seed), splitmix.New(seed)
 					wa, wb := make([]int, l), make([]int, l)
 					oka, okb := a.sampleFrom(q, 0, wa), b.refSampleFrom(q, 0, wb)
-					if oka != okb || a.rng != b.rng || a.rejections != b.rejections || (oka && !slices.Equal(wa, wb)) {
+					if oka != okb || a.rng != b.rng || a.Rejections != b.Rejections || (oka && !slices.Equal(wa, wb)) {
 						t.Fatalf("trial %d q %d l %d seed %d: walk %v %v, reference %v %v (streams equal %v)",
 							trial, q, l, seed, oka, wa, okb, wb, a.rng == b.rng)
 					}

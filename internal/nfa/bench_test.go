@@ -8,6 +8,7 @@ import (
 	"pqe/internal/gen"
 	"pqe/internal/nfa"
 	"pqe/internal/reduction"
+	"pqe/internal/union"
 )
 
 // weightedPath3 is the path3-rational request shape of the pqed
@@ -29,7 +30,7 @@ func weightedPath3(b *testing.B) *reduction.PathPQEReduction {
 // (prefix-row picks, the word walk and subset-simulation acceptance).
 func BenchmarkCountNFAWeightedPath3(b *testing.B) {
 	red := weightedPath3(b)
-	opts := nfa.CountOptions{Epsilon: 0.1, MaxProcs: 1}
+	opts := union.Options{Epsilon: 0.1, MaxProcs: 1}
 	nfa.Count(red.Auto, red.WordSize, opts) // build the plan outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -55,7 +56,7 @@ func BenchmarkAcceptsSet(b *testing.B) {
 	type call struct{ states, word []int }
 	var calls []call
 	for seed := int64(1); seed <= 8; seed++ {
-		w := nfa.SampleWord(m, red.WordSize, nfa.CountOptions{Epsilon: 0.5, Seed: seed})
+		w := nfa.SampleWord(m, red.WordSize, union.Options{Epsilon: 0.5, Seed: seed})
 		if w == nil {
 			b.Fatal("empty language")
 		}
@@ -88,7 +89,7 @@ func BenchmarkAcceptsBatch(b *testing.B) {
 	m := red.Auto
 	var ws [][]int
 	for seed := int64(1); seed <= 64; seed++ {
-		w := nfa.SampleWord(m, red.WordSize, nfa.CountOptions{Epsilon: 0.5, Seed: seed})
+		w := nfa.SampleWord(m, red.WordSize, union.Options{Epsilon: 0.5, Seed: seed})
 		if w == nil {
 			b.Fatal("empty language")
 		}

@@ -12,7 +12,7 @@ func AcceptsSet(m *NFA) func(states, word []int) bool {
 func acceptsKernel(m *NFA) *sampler {
 	pl, _ := planFor(m)
 	s := newSampler(pl)
-	s.bind(pl.getRun(CountOptions{}, 0))
+	s.Bind(pl.newRun())
 	return s
 }
 

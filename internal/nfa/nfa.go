@@ -16,13 +16,12 @@
 // reductions of the paper need: an accepted string encodes a satisfying
 // subinstance once, even when many witness choices (runs) accept it.
 //
-// The approximate counter shares the architecture of the tree-side
-// engine (internal/count): dense [state][length] memo tables
-// (internal/dense), interned target-set union slots, bitset-based
+// The approximate counter runs on the union estimator harness
+// (internal/union) that the tree engine (internal/count) runs too. This
+// package supplies the word kernels: dense [state][length] memo tables
+// (internal/dense), interned target-set union slots, subset-simulation
 // acceptance over a dense transition index cached on the automaton,
-// pooled scratch, and an intra-trial worker pool with one deterministic
-// splitmix64 stream per overlap sample (internal/splitmix), so results
-// are bit-identical for a fixed seed at every MaxProcs setting.
+// and the cell-keyed site rule.
 package nfa
 
 import (

@@ -6,8 +6,8 @@ import (
 
 	"pqe/internal/efloat"
 	"pqe/internal/prefix"
-	"pqe/internal/sched"
 	"pqe/internal/splitmix"
+	"pqe/internal/union"
 )
 
 // refPick is the reference linear scan the sampler drew with before the
@@ -37,18 +37,13 @@ func refPick(rng *splitmix.Stream, weights []efloat.E) int {
 
 // warmRun runs the estimation pass of one trial at length n, seeded as
 // the first trial of a Count call with opts, and returns the run with
-// every table its samplers read filled.
-func warmRun(m *NFA, n int, opts CountOptions) *wordRun {
-	opts = opts.withDefaults()
+// every table its samplers read filled. The run is back in the plan's
+// pool, intact until the next call on the automaton reuses it.
+func warmRun(m *NFA, n int, opts union.Options) *wordRun {
 	pl, _ := planFor(m)
-	r := pl.getRun(opts, opts.schedule().Seeds()[0])
-	call := newCallState(pl, opts.MaxProcs)
-	sched.Run(sched.Config{Procs: opts.MaxProcs, Trials: 1, Labels: schedLabels}, func(w *sched.Worker, _ int) {
-		r.w, r.call = w, call
-		r.ensurePfx(n)
-		r.topLevel(n)
-	})
-	return r
+	var warm *wordRun
+	pl.Warm(n, opts, func(r *wordRun, _ efloat.E) { warm = r })
+	return warm
 }
 
 // checkPicks draws from row and from the reference scan over ws on twin

@@ -9,14 +9,6 @@ import (
 // built on first use per cell and shared by every sampler of the trial.
 // The builders below only say what each row's weights are.
 
-// ensurePfx sizes the row grids for lengths 0..n, carrying cached rows
-// over on growth. Called sequentially before estimation; the grids are
-// then read (and lazily filled) concurrently by samplers.
-func (r *wordRun) ensurePfx(n int) {
-	r.entryPfx.Grow(r.pl.m.numStates, n)
-	r.targetPfx.Grow(len(r.pl.ix.sets), n)
-}
-
 // entryRow returns the row over state q's symbol entries with rem
 // letters remaining: weight i is unionLookup(entries[i], rem−1).
 func (r *wordRun) entryRow(q, rem int) *prefix.Row {

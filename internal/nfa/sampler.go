@@ -5,22 +5,17 @@ import (
 
 	"pqe/internal/prefix"
 	"pqe/internal/splitmix"
+	"pqe/internal/union"
 )
 
-// sampler is a sampling session over a frozen run: it draws words
-// reading the memo tables and the plan's dense index but never writing
-// them, so any number of samplers may run concurrently over one run.
-// All scratch state (subset-simulation frontiers and masks, the overlap
-// word batch, rejection counter) lives here; the scheduler binds one
-// sampler per worker, rebinding it to the chunk's run at every chunk
-// boundary (bind), so a sampler serves many trials within a call.
-//
-// The invariant the read-only lookups rely on: a sampler is only ever
-// asked for (state, length) pairs whose estimates were computed — the
-// estimation pass at a given length computes exactly the sub-estimates
-// its sampling consults (all strictly smaller lengths), and the
-// top-level APIs run topLevel before sampling.
+// sampler is the word engine's union.Sampler: it draws words from a
+// run's memo tables and the plan's dense index, with its scratch
+// (subset-simulation frontiers and masks, the overlap word batch) kept
+// here.
 type sampler struct {
+	// Effort.AcceptChecks counts subset-simulation membership tests (one
+	// per word tested).
+	union.Effort
 	r   *wordRun
 	rng splitmix.Stream
 	// Subset-simulation scratch for acceptsSet: the current and next
@@ -34,10 +29,6 @@ type sampler struct {
 	// between calls, and the batch's words, word-major.
 	curMask, nextMask, symMask []uint64
 	words                      []int
-	rejections                 int
-	// acceptChecks counts subset-simulation membership tests (one per
-	// word tested), summed per call like rejections.
-	acceptChecks int
 }
 
 func newSampler(pl *wordPlan) *sampler {
@@ -50,28 +41,32 @@ func newSampler(pl *wordPlan) *sampler {
 	}
 }
 
-// bind points the sampler at a run. Samplers are plan-scoped (mark and
+// Bind points the sampler at a run. Samplers are plan-scoped (mark and
 // the masks are sized to the automaton), so binding only swaps the
 // memo tables it reads.
-func (s *sampler) bind(r *wordRun) { s.r = r }
+func (s *sampler) Bind(r *wordRun) { s.r = r }
+
+// BindTop binds the sampler for top-level draws on rng.
+func (s *sampler) BindTop(r *wordRun, rng splitmix.Stream) { s.r, s.rng = r, rng }
+
+// CountFresh runs the overlap kernel, freshKernel.
+func (s *sampler) CountFresh(targets []int, j, l int, site uint64, lo, hi int) int {
+	return freshKernel(s, targets, j, l, site, lo, hi)
+}
+
+// freshKernel is the kernel CountFresh runs. It is a variable only so
+// the kernel tests can run Count on a per-sample reference loop and
+// compare the bits.
+var freshKernel = (*sampler).countFresh
 
 // batchWords is the number of overlap samples acceptsBatch tests in one
 // subset simulation: one bit of a machine word each.
 const batchWords = 64
 
-// retriesPerBranch bounds canonical-first rejection: a union draw over
-// k targets gives up after retriesPerBranch·k rejected draws. It is a
-// constant, not an option, so every process running a trial range
-// draws exactly as the local run does.
-const retriesPerBranch = 32
-
-// countFresh draws the overlap samples lo ≤ i < hi for union branch j
-// at length l and counts those landing outside all earlier branches.
-// Each sample runs on its own PRNG derived from (trial seed, site, i),
-// so the count is independent of how samples are partitioned across
-// workers and chunks. Samples are drawn in groups of batchWords and each
-// group's membership tests share one subset simulation; the grouping
-// changes no word's answer.
+// countFresh is the word engine's overlap kernel (union.Sampler):
+// samples are drawn in groups of batchWords and each group's membership
+// tests share one subset simulation; the grouping changes no word's
+// answer.
 func (s *sampler) countFresh(targets []int, j, l int, site uint64, lo, hi int) int {
 	if cap(s.words) < batchWords*l {
 		s.words = make([]int, batchWords*l)
@@ -82,12 +77,12 @@ func (s *sampler) countFresh(targets []int, j, l int, site uint64, lo, hi int) i
 		words := s.words[:k*l]
 		var valid uint64
 		for b := 0; b < k; b++ {
-			s.rng = splitmix.Derive(s.r.seed, site, base+b)
+			s.rng = splitmix.Derive(s.r.Seed, site, base+b)
 			if s.sampleFrom(targets[j], 0, words[b*l:(b+1)*l]) {
 				valid |= 1 << b
 			}
 		}
-		s.acceptChecks += bits.OnesCount64(valid)
+		s.AcceptChecks += bits.OnesCount64(valid)
 		fresh += bits.OnesCount64(valid &^ s.acceptsBatch(targets[:j], words, l, valid))
 	}
 	return fresh
@@ -118,7 +113,7 @@ func (s *sampler) sampleFrom(q, pos int, out []int) bool {
 		en := &entries[i]
 		out[pos] = en.sym
 		if len(en.targets) > 1 {
-			return s.sampleUnion(en.targets, r.targetRow(en.set, rem-1), retriesPerBranch*len(en.targets), pos+1, out)
+			return s.sampleUnion(en.targets, r.targetRow(en.set, rem-1), union.RetriesPerBranch*len(en.targets), pos+1, out)
 		}
 		q = en.targets[0]
 	}
@@ -146,7 +141,7 @@ func (s *sampler) sampleUnion(targets []int, trow *prefix.Row, maxRetry, pos int
 		if j == 0 || !s.acceptsSet(targets[:j], out[pos:]) {
 			return true
 		}
-		s.rejections++
+		s.Rejections++
 	}
 	return have
 }
@@ -158,7 +153,7 @@ func (s *sampler) sampleUnion(targets []int, trow *prefix.Row, maxRetry, pos int
 // scan of the final frontier against the finals. A step costs the
 // frontier's transitions, not the automaton's width.
 func (s *sampler) acceptsSet(states []int, word []int) bool {
-	s.acceptChecks++
+	s.AcceptChecks++
 	ix := s.r.pl.ix
 	mark := s.mark
 	gen := s.nextGen()
@@ -294,7 +289,7 @@ func (s *sampler) sampleTop(n int) []int {
 		}
 		return out
 	}
-	if !s.sampleUnion(targets, r.targetRow(r.pl.ix.topSet, n), retriesPerBranch*(len(targets)+1), 0, out) {
+	if !s.sampleUnion(targets, r.targetRow(r.pl.ix.topSet, n), union.RetriesPerBranch*(len(targets)+1), 0, out) {
 		return nil
 	}
 	return out

@@ -35,7 +35,7 @@ func TestTrialScopedRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			pl, _ := planFor(a)
-			if n := len(pl.freeRuns); n > 1 {
+			if n, _ := pl.Pooled(); n > 1 {
 				t.Errorf("plan pool holds %d runs after a MaxProcs 1 call, want ≤ 1", n)
 			}
 			for name, want := range tc.counts {

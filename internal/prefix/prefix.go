@@ -123,22 +123,15 @@ type Grid struct {
 	width int // maxN+1
 }
 
-// Grow sizes the grid for rows × sizes 0..n, carrying published rows
-// over. It must not run concurrently with readers: engines call it
-// sequentially before estimation.
+// Grow sizes the grid for rows × sizes 0..n. Growing allocates an empty
+// grid, since engines only grow grids that are fresh or just cleared;
+// shrinking is a no-op. It must not run concurrently with readers:
+// engines call it sequentially before estimation.
 func (g *Grid) Grow(rows, n int) {
 	if n < g.width {
 		return
 	}
-	grown := make([]atomic.Pointer[Row], rows*(n+1))
-	for r := 0; r < rows && g.width > 0; r++ {
-		for c := 0; c < g.width; c++ {
-			if p := g.slots[r*g.width+c].Load(); p != nil {
-				grown[r*(n+1)+c].Store(p)
-			}
-		}
-	}
-	g.slots, g.width = grown, n+1
+	g.slots, g.width = make([]atomic.Pointer[Row], rows*(n+1)), n+1
 }
 
 // Load returns the row published at (row, size), or nil.

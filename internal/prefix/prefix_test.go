@@ -206,21 +206,33 @@ func TestPickWideRowFallback(t *testing.T) {
 }
 
 // Grow keeps published rows at their (row, size) cell.
-func TestGridGrowCarriesRows(t *testing.T) {
+// Growing a grid allocates an empty one of the new width, dropping any
+// published row (the engines only grow fresh or cleared grids);
+// shrinking keeps the grid and its rows.
+func TestGridGrowStartsEmpty(t *testing.T) {
 	var g Grid
 	b := &Builder{}
 	g.Grow(3, 2)
-	p := b.Build(&g, 2, 1, 1, func(w []efloat.E) { w[0] = efloat.One })
+	one := func(w []efloat.E) { w[0] = efloat.One }
+	p := b.Build(&g, 2, 1, 1, one)
 	g.Grow(3, 1) // shrinking is a no-op
-	g.Grow(3, 5)
 	if got := g.Load(2, 1); got != p {
-		t.Fatalf("row lost on growth: %p, want %p", got, p)
+		t.Fatalf("shrinking Grow lost a row: %p, want %p", got, p)
 	}
-	if g.Load(2, 5) != nil || g.Load(0, 1) != nil {
-		t.Fatal("unbuilt cell holds a row")
+	g.Grow(3, 5)
+	for r := 0; r < 3; r++ {
+		for c := 0; c <= 5; c++ {
+			if g.Load(r, c) != nil {
+				t.Fatalf("grown grid holds a row at (%d, %d)", r, c)
+			}
+		}
+	}
+	q := b.Build(&g, 2, 5, 1, one)
+	if got := g.Load(2, 5); got != q {
+		t.Fatalf("row at the grown width not published: %p, want %p", got, q)
 	}
 	g.Clear()
-	if g.Load(2, 1) != nil {
+	if g.Load(2, 5) != nil {
 		t.Fatal("Clear kept a row")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"pqe/internal/hypertree"
 	"pqe/internal/nfta"
 	"pqe/internal/pdb"
+	"pqe/internal/union"
 )
 
 func TestDecodeTreeInvertsEncode(t *testing.T) {
@@ -56,7 +57,7 @@ func TestDecodeTreeSkipsDigits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		tree := count.SampleTree(weighted.Auto, weighted.TreeSize, count.Options{Seed: int64(i + 1)})
+		tree := count.SampleTree(weighted.Auto, weighted.TreeSize, union.Options{Seed: int64(i + 1)})
 		if tree == nil {
 			t.Fatal("nil sample")
 		}

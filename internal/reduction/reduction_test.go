@@ -12,6 +12,7 @@ import (
 	"pqe/internal/nfa"
 	"pqe/internal/nfta"
 	"pqe/internal/pdb"
+	"pqe/internal/union"
 )
 
 // randomGraphDB builds a database for a path query of length n: each
@@ -192,7 +193,7 @@ func TestBuildURCountMatchesExact(t *testing.T) {
 		d := randomGraphDB(rng, q.Len(), 1+rng.Intn(2), 3)
 		ur := buildURFor(t, q, d)
 		want := exact.MustUR(q, d)
-		got := count.Trees(ur.Auto, ur.TreeSize, count.Options{Epsilon: 0.1, Trials: 5, Seed: int64(trial + 1)})
+		got := count.Trees(ur.Auto, ur.TreeSize, union.Options{Epsilon: 0.1, Trials: 5, Seed: int64(trial + 1)})
 		if want.Sign() == 0 {
 			if !got.IsZero() {
 				t.Errorf("trial %d: UR 0, estimate %v", trial, got)
@@ -218,7 +219,7 @@ func TestBuildURCyclicQuery(t *testing.T) {
 	)
 	ur := buildURFor(t, q, d)
 	want := exact.MustUR(q, d)
-	got := count.Trees(ur.Auto, ur.TreeSize, count.Options{Epsilon: 0.1, Trials: 5, Seed: 2})
+	got := count.Trees(ur.Auto, ur.TreeSize, union.Options{Epsilon: 0.1, Trials: 5, Seed: 2})
 	ratio := got.Float() / float64(want.Int64())
 	if ratio < 0.75 || ratio > 1.25 {
 		t.Errorf("estimate %v vs UR %v (ratio %.3f)", got, want, ratio)
@@ -262,7 +263,7 @@ func TestBuildPQEMatchesExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := exact.MustPQE(q, h)
-		got := count.Trees(red.Auto, red.TreeSize, count.Options{Epsilon: 0.1, Trials: 5, Seed: int64(trial + 1)})
+		got := count.Trees(red.Auto, red.TreeSize, union.Options{Epsilon: 0.1, Trials: 5, Seed: int64(trial + 1)})
 		den := new(big.Float).SetInt(red.DenProduct)
 		denF, _ := den.Float64()
 		gotProb := got.Float() / denF
@@ -305,7 +306,7 @@ func TestBuildPQEUniformHalfReducesToUR(t *testing.T) {
 	if red.DenProduct.Int64() != 8 {
 		t.Errorf("DenProduct = %v", red.DenProduct)
 	}
-	got := count.Trees(red.Auto, red.TreeSize, count.Options{Epsilon: 0.1, Trials: 5, Seed: 4})
+	got := count.Trees(red.Auto, red.TreeSize, union.Options{Epsilon: 0.1, Trials: 5, Seed: 4})
 	want := exact.MustUR(q, d)
 	ratio := got.Float() / float64(want.Int64())
 	if ratio < 0.8 || ratio > 1.2 {
@@ -332,7 +333,7 @@ func TestBuildPQEExtremeProbabilities(t *testing.T) {
 	if want.Cmp(big.NewRat(1, 2)) != 0 {
 		t.Fatalf("oracle = %v, want 1/2", want)
 	}
-	got := count.Trees(red.Auto, red.TreeSize, count.Options{Epsilon: 0.1, Trials: 5, Seed: 6})
+	got := count.Trees(red.Auto, red.TreeSize, union.Options{Epsilon: 0.1, Trials: 5, Seed: 6})
 	denF, _ := new(big.Float).SetInt(red.DenProduct).Float64()
 	gotProb := got.Float() / denF
 	if gotProb < 0.4 || gotProb > 0.6 {
@@ -357,7 +358,7 @@ func TestBuildPathPQEMatchesExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, _ := exact.MustPQE(q, h).Float64()
-		got := nfa.Count(red.Auto, red.WordSize, nfa.CountOptions{Epsilon: 0.1, Trials: 5, Seed: int64(trial + 1)})
+		got := nfa.Count(red.Auto, red.WordSize, union.Options{Epsilon: 0.1, Trials: 5, Seed: int64(trial + 1)})
 		denF, _ := new(big.Float).SetInt(red.DenProduct).Float64()
 		gotProb := got.Float() / denF
 		if want == 0 {

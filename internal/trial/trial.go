@@ -1,12 +1,11 @@
 // Package trial is the one driver of the median-of-trials
-// confidence-boosting step every FPRAS counting call ends with. Both
-// engines (internal/count, internal/nfa) and the shard coordinator
-// (internal/shard) run their trials through Run: the driver owns the
-// schedule's defaults, the per-trial seeds, the fixed or anytime batch
-// boundaries, cancellation between batches, the executed/saved counts
-// and the upper-median merge. A caller supplies only an Exec that runs
-// trials [lo, hi) and returns their estimates; engines build theirs
-// from a per-trial body with the Call harness (call.go).
+// confidence-boosting step every FPRAS counting call ends with. The
+// union estimator harness both engines run (internal/union) and the
+// shard coordinator (internal/shard) run their trials through Run: the
+// driver owns the schedule's defaults, the per-trial seeds, the fixed
+// or anytime batch boundaries, cancellation between batches, the
+// executed/saved counts and the upper-median merge. A caller supplies
+// only an Exec that runs trials [lo, hi) and returns their estimates.
 //
 // The anytime stop rule (stop.go) follows the sequential-estimation
 // idea behind the union-of-CQ FPRAS of Arenas et al. ("When is
@@ -40,12 +39,20 @@ type Schedule struct {
 	// returned — the hard cap of an anytime schedule. Default 5.
 	Trials int
 	// Samples is the number of samples per overlap term; 0 derives
-	// max(24, ⌈6/ε²⌉).
+	// max(24, ⌈6/ε²⌉). The rigorous bound of Arenas et al. is polynomial
+	// but with constants the paper itself deems impractical (§6); this
+	// is the practical stand-in, validated against exact counts in the
+	// test suites.
 	Samples int
 	// Seed seeds the per-trial seed sequence. Default 1.
 	Seed int64
-	// Anytime runs the trials in deterministic batches and stops at the
-	// earliest batch whose estimates meet the (ε, δ) certificate.
+	// Anytime runs the trials in deterministic batches (a pure function
+	// of (Epsilon, Delta, Trials), never of wall-clock time or worker
+	// count) and stops at the earliest batch whose per-trial log₂
+	// estimates all agree within the ε-band, once a conservative
+	// δ-derived floor of trials has run (stop.go). Trials is the hard
+	// cap: when the certificate never fires the call runs exactly the
+	// fixed schedule.
 	Anytime bool
 	// Delta is the anytime certificate's failure-probability target in
 	// (0,1); ≤ 0 uses DefaultDelta. Ignored unless Anytime.

@@ -176,7 +176,10 @@ func LoadDatabase(path string) (*Database, error) {
 // Options tunes the estimators. The zero value (or nil) uses defaults:
 // ε = 0.1, 5 trials, derived sample counts, seed 1.
 type Options struct {
-	// Epsilon is the target relative error in (0, 1).
+	// Epsilon is the target relative error of a single FPRAS trial, in
+	// (0, 1); the answer is the median of the trials. It is not the
+	// answer's certified error: after an early anytime stop the median
+	// is only certified to (1+ε)²/(1−ε) − 1 (ROADMAP item 2).
 	Epsilon float64
 	// Trials is the number of independent estimates whose median is
 	// returned (confidence boosting).
