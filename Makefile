@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short race bench bench-json bench-compare delta-soak experiments experiments-md fuzz testkit soak serve-smoke shard-smoke bench-shard loc clean
+.PHONY: all build vet lint test test-short race bench bench-json bench-compare delta-soak experiments experiments-md fuzz testkit soak serve-smoke shard-smoke loc clean
 
 all: build vet lint test
 
@@ -32,28 +32,26 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate the committed engine micro-benchmark JSON baselines.
+# Regenerate the five committed BENCH_*.json baselines (countnfta,
+# countnfa, churn, router and shard, whose sharded rows run on real
+# worker subprocesses and must be bit-identical to the in-process
+# baseline).
 bench-json:
 	$(GO) run ./cmd/pqebench -json -maxprocs 4
 
-# Re-run the micro-benchmarks into /tmp and diff against the committed
-# baselines: per-row ns_per_op / allocs_per_op deltas, a geomean
-# summary, and a non-zero exit on any >$(BENCH_MAX_REGRESS) ns_per_op
-# regression. The nightly soak workflow runs this and uploads the
-# reports.
+# Re-run the five suites into /tmp and diff each against its committed
+# baseline: per-row ns_per_op (the median of the row's samples) /
+# allocs_per_op deltas, a geomean summary, and a non-zero exit on any
+# >$(BENCH_MAX_REGRESS) ns_per_op regression or missing baseline row.
+# The nightly soak workflow runs this and uploads the reports.
 BENCH_MAX_REGRESS ?= 0.25
+BENCH_SUITES = countnfta countnfa churn router shard
 bench-compare:
-	$(GO) run ./cmd/pqebench -json -maxprocs 4 \
-		-json-out /tmp/BENCH_countnfta.json -json-nfa-out /tmp/BENCH_countnfa.json \
-		-json-churn-out /tmp/BENCH_churn.json -json-router-out /tmp/BENCH_router.json
-	$(GO) run ./cmd/pqebench -compare -max-regress $(BENCH_MAX_REGRESS) \
-		BENCH_countnfta.json /tmp/BENCH_countnfta.json
-	$(GO) run ./cmd/pqebench -compare -max-regress $(BENCH_MAX_REGRESS) \
-		BENCH_countnfa.json /tmp/BENCH_countnfa.json
-	$(GO) run ./cmd/pqebench -compare -max-regress $(BENCH_MAX_REGRESS) \
-		BENCH_churn.json /tmp/BENCH_churn.json
-	$(GO) run ./cmd/pqebench -compare -max-regress $(BENCH_MAX_REGRESS) \
-		BENCH_router.json /tmp/BENCH_router.json
+	$(GO) run ./cmd/pqebench -json -maxprocs 4 -json-dir /tmp
+	for s in $(BENCH_SUITES); do \
+		$(GO) run ./cmd/pqebench -compare -max-regress $(BENCH_MAX_REGRESS) \
+			BENCH_$$s.json /tmp/BENCH_$$s.json || exit 1; \
+	done
 
 # Long randomized delta soak: interleave random fact-level deltas with
 # estimates and check every estimate is bit-identical to a from-scratch
@@ -98,15 +96,6 @@ serve-smoke:
 shard-smoke:
 	$(GO) test -race -run 'TestDifferentialShard' -short ./internal/testkit/
 	$(GO) test -race ./internal/shard/
-
-# Regenerate the committed multi-process sharding benchmark: real
-# worker subprocesses at 2 and 4 workers, sharded rows gated
-# bit-identical to the in-process baseline.
-bench-shard:
-	$(GO) run ./cmd/pqebench -json -maxprocs 4 \
-		-json-out /tmp/BENCH_countnfta.json -json-nfa-out /tmp/BENCH_countnfa.json \
-		-json-churn-out /tmp/BENCH_churn.json -json-router-out /tmp/BENCH_router.json \
-		-json-shard-out BENCH_shard.json
 
 # The nightly-CI workload, locally: 10x case budget on a chosen seed.
 soak:

@@ -8,38 +8,25 @@ import (
 	"os"
 )
 
-// compareRow is the subset of a bench JSON row the comparison needs;
-// both suites (countnfta and countnfa) share these fields.
-type compareRow struct {
-	Name        string `json:"name"`
-	Workers     int    `json:"workers"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp uint64 `json:"allocs_per_op"`
-}
-
-type compareFile struct {
-	Suite   string       `json:"suite"`
-	Results []compareRow `json:"results"`
-}
-
-func loadCompareFile(path string) (*compareFile, error) {
+func loadCompareFile(path string) (*benchFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var f compareFile
+	var f benchFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &f, nil
 }
 
-// runCompare prints per-row ns_per_op and allocs_per_op deltas between
-// two bench JSON files (rows matched by (name, workers)) and a geomean
-// summary of the ns ratios. Rows present in only one file are reported
-// explicitly as added (new workloads without a baseline) or removed
-// (baseline workloads that disappeared — often an accidental rename
-// that would otherwise silently drop a regression gate). With
+// runCompare prints per-row ns_per_op (each row's median sample) and
+// allocs_per_op deltas between two bench JSON files (rows matched by
+// (name, workers)) and a geomean summary of the ns ratios. Rows
+// present in only one file are reported explicitly as added (new
+// workloads without a baseline) or removed (baseline workloads that
+// disappeared — often an accidental rename that would otherwise
+// silently drop a regression gate). With
 // maxRegress > 0 it returns an error if any matched row's ns_per_op
 // grew by more than that fraction, or if any baseline row disappeared
 // — the CI bench-delta lane's failure conditions. A vanished row is a
@@ -57,7 +44,7 @@ func runCompare(oldPath, newPath string, maxRegress float64, stdout io.Writer) e
 		name    string
 		workers int
 	}
-	oldRows := make(map[key]compareRow, len(oldF.Results))
+	oldRows := make(map[key]row, len(oldF.Results))
 	for _, r := range oldF.Results {
 		oldRows[key{r.Name, r.Workers}] = r
 	}

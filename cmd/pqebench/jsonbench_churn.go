@@ -1,17 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"runtime"
 	"strings"
 
 	"pqe/internal/core"
 	"pqe/internal/cq"
 	"pqe/internal/gen"
 	"pqe/internal/hypertree"
+	"pqe/internal/obs"
 	"pqe/internal/pdb"
 	"pqe/internal/reduction"
 )
@@ -21,7 +18,9 @@ import (
 // Each workload runs twice — "incremental" keeps a builder session
 // across ops so only the parts over mutated relations re-derive, and
 // "rebuild" constructs from scratch — making the incremental-vs-full
-// construction gap a committed, regression-gated number.
+// construction gap a committed, regression-gated number. The two sides
+// of a pair are timed in alternating slices, so background load falls
+// on both alike.
 //
 // The construction rows churn the facts of a single relation — the
 // middle atom's, the worst single-relation placement for the memoized
@@ -71,6 +70,18 @@ func (c *churner) step() (del, ins pdb.Fact) {
 	return del, ins
 }
 
+// noteSteps takes n steps, reporting each deleted and inserted fact's
+// relation to note when it is non-nil.
+func (c *churner) noteSteps(n int, note func(rel string, deleted bool)) {
+	for k := 0; k < n; k++ {
+		del, ins := c.step()
+		if note != nil {
+			note(del.Relation, true)
+			note(ins.Relation, false)
+		}
+	}
+}
+
 // churnNs derives the update batch sizes: 1, 10 and 10% of |D|.
 func churnNs(size int) []int {
 	ns := []int{1, 10}
@@ -80,113 +91,76 @@ func churnNs(size int) []int {
 	return ns
 }
 
-// runJSONBenchChurn runs the churn suite and writes BENCH_churn.json.
-// The construction rows are single-threaded by nature (the builders
-// replay a deterministic assembly); the ChurnEstimate rows run the
-// counting engines at 1 worker and, when workers > 1, again at that
-// count.
-func runJSONBenchChurn(path string, eps float64, seed int64, workers int, stdout io.Writer) error {
-	out := benchFile{
-		Suite:     "churn",
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		Epsilon:   eps,
-		Seed:      seed,
-	}
+// churnPair measures the two sides of a churn workload — the
+// incremental (or session) side inc and the rebuild (or fresh) side
+// full — in alternating slices, and names the rows name + "/" + each
+// side's label.
+func churnPair(out *benchFile, name string, workers int, incLabel string, inc func(), fullLabel string, full func()) {
+	rows := measure(func(*obs.Scope, int) { inc() }, func(*obs.Scope, int) { full() })
+	rows[0].Name, rows[1].Name = name+"/"+incLabel, name+"/"+fullLabel
+	rows[0].Workers, rows[1].Workers = workers, workers
+	out.Results = append(out.Results, rows...)
+}
 
+// benchChurn is the churn suite. The construction rows are
+// single-threaded by nature (the builders replay a deterministic
+// assembly); the ChurnEstimate rows run the counting engines at each
+// worker count.
+func benchChurn(cfg benchConfig) (*benchFile, error) {
+	out := cfg.file("churn")
 	q := cq.PathQuery("R", 6)
-	base := gen.SparsePathInstance(q, 26, 2, gen.ProbHalf, seed).DB()
+	base := gen.SparsePathInstance(q, 26, 2, gen.ProbHalf, cfg.seed).DB()
 	size := base.Size()
 	churnRel := q.Atoms[q.Len()/2].Relation
 
 	for _, n := range churnNs(size) {
 		// Tree pipeline construction: Proposition 1 UR automaton.
-		{
-			c := &churner{d: base.Clone(), rel: churnRel}
-			dec, err := hypertree.Decompose(q)
-			if err != nil {
-				return err
-			}
-			b, err := reduction.NewURBuilder(q, c.d, dec)
-			if err != nil {
-				return err
-			}
-			if _, err := b.Build(nil); err != nil {
-				return err
-			}
-			ops, ns, allocs, bytes := measure(func(i int) {
-				for k := 0; k < n; k++ {
-					del, ins := c.step()
-					b.NoteMutation(del.Relation, true)
-					b.NoteMutation(ins.Relation, false)
-				}
-				if _, err := b.Build(nil); err != nil {
-					panic(err)
-				}
-			})
-			out.Results = append(out.Results, benchRecord{
-				Name:    fmt.Sprintf("ChurnUR/path6_facts=%d/n=%d/incremental", size, n),
-				Workers: 1, Ops: ops, NsPerOp: ns, AllocsPerOp: allocs, BytesPerOp: bytes,
-			})
-
-			c = &churner{d: base.Clone(), rel: churnRel}
-			ops, ns, allocs, bytes = measure(func(i int) {
-				for k := 0; k < n; k++ {
-					c.step()
-				}
+		dec, err := hypertree.Decompose(q)
+		if err != nil {
+			return nil, err
+		}
+		urInc := &churner{d: base.Clone(), rel: churnRel}
+		ub, err := reduction.NewURBuilder(q, urInc.d, dec)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := ub.Build(nil); err != nil {
+			return nil, err
+		}
+		urFull := &churner{d: base.Clone(), rel: churnRel}
+		churnPair(out, fmt.Sprintf("ChurnUR/path6_facts=%d/n=%d", size, n), 1,
+			"incremental", func() {
+				urInc.noteSteps(n, ub.NoteMutation)
+				must(ub.Build(nil))
+			},
+			"rebuild", func() {
+				urFull.noteSteps(n, nil)
 				dec, err := hypertree.Decompose(q)
 				if err != nil {
 					panic(err)
 				}
-				if _, err := reduction.BuildUR(q, c.d, dec); err != nil {
-					panic(err)
-				}
+				must(reduction.BuildUR(q, urFull.d, dec))
 			})
-			out.Results = append(out.Results, benchRecord{
-				Name:    fmt.Sprintf("ChurnUR/path6_facts=%d/n=%d/rebuild", size, n),
-				Workers: 1, Ops: ops, NsPerOp: ns, AllocsPerOp: allocs, BytesPerOp: bytes,
-			})
-		}
 
 		// String pipeline construction: Section 3 path automaton.
-		{
-			c := &churner{d: base.Clone(), rel: churnRel}
-			b, err := reduction.NewPathBuilder(q, c.d)
-			if err != nil {
-				return err
-			}
-			if _, err := b.Build(); err != nil {
-				return err
-			}
-			ops, ns, allocs, bytes := measure(func(i int) {
-				for k := 0; k < n; k++ {
-					del, ins := c.step()
-					b.NoteMutation(del.Relation, true)
-					b.NoteMutation(ins.Relation, false)
-				}
-				if _, err := b.Build(); err != nil {
-					panic(err)
-				}
-			})
-			out.Results = append(out.Results, benchRecord{
-				Name:    fmt.Sprintf("ChurnPath/path6_facts=%d/n=%d/incremental", size, n),
-				Workers: 1, Ops: ops, NsPerOp: ns, AllocsPerOp: allocs, BytesPerOp: bytes,
-			})
-
-			c = &churner{d: base.Clone(), rel: churnRel}
-			ops, ns, allocs, bytes = measure(func(i int) {
-				for k := 0; k < n; k++ {
-					c.step()
-				}
-				if _, err := reduction.PathNFA(q, c.d); err != nil {
-					panic(err)
-				}
-			})
-			out.Results = append(out.Results, benchRecord{
-				Name:    fmt.Sprintf("ChurnPath/path6_facts=%d/n=%d/rebuild", size, n),
-				Workers: 1, Ops: ops, NsPerOp: ns, AllocsPerOp: allocs, BytesPerOp: bytes,
-			})
+		pathInc := &churner{d: base.Clone(), rel: churnRel}
+		pb, err := reduction.NewPathBuilder(q, pathInc.d)
+		if err != nil {
+			return nil, err
 		}
+		if _, err := pb.Build(); err != nil {
+			return nil, err
+		}
+		pathFull := &churner{d: base.Clone(), rel: churnRel}
+		churnPair(out, fmt.Sprintf("ChurnPath/path6_facts=%d/n=%d", size, n), 1,
+			"incremental", func() {
+				pathInc.noteSteps(n, pb.NoteMutation)
+				must(pb.Build())
+			},
+			"rebuild", func() {
+				pathFull.noteSteps(n, nil)
+				must(reduction.PathNFA(q, pathFull.d))
+			})
 	}
 
 	// End-to-end delta + re-estimate on a smaller weighted instance:
@@ -195,66 +169,40 @@ func runJSONBenchChurn(path string, eps float64, seed int64, workers int, stdout
 	// reflect the construction work a dynamic database re-pays.
 	estQ := cq.PathQuery("R", 3)
 	estRel := estQ.Atoms[estQ.Len()/2].Relation
-	hBase := gen.SparsePathInstance(estQ, 8, 2, gen.ProbHalf, seed)
-	workerCounts := []int{1}
-	if workers > 1 {
-		workerCounts = append(workerCounts, workers)
-	}
-	for _, w := range workerCounts {
-		estOpts := core.Options{Epsilon: eps, Trials: 1, Samples: 4, Seed: seed, MaxProcs: w}
+	hBase := gen.SparsePathInstance(estQ, 8, 2, gen.ProbHalf, cfg.seed)
+	for _, w := range cfg.workerCounts() {
+		estOpts := core.Options{Epsilon: cfg.eps, Trials: 1, Samples: 4, Seed: cfg.seed, MaxProcs: w}
 		for _, n := range []int{1, 4} {
-			estSize := hBase.Size()
-			{
-				h := hBase.Clone()
-				c := &churner{d: h.DB(), rel: estRel}
-				est := core.NewEstimator(estQ, h, estOpts)
-				if _, err := est.UREstimate(estOpts); err != nil {
-					return err
-				}
-				ops, ns, allocs, bytes := measure(func(i int) {
+			h := hBase.Clone()
+			c := &churner{d: h.DB(), rel: estRel}
+			est := core.NewEstimator(estQ, h, estOpts)
+			if _, err := est.UREstimate(estOpts); err != nil {
+				return nil, err
+			}
+			hFull := hBase.Clone()
+			cFull := &churner{d: hFull.DB(), rel: estRel}
+			churnPair(out, fmt.Sprintf("ChurnEstimate/path3_facts=%d/n=%d", hBase.Size(), n), w,
+				"session", func() {
 					delta := make(pdb.Delta, 0, 2*n)
 					for k := 0; k < n; k++ {
 						del, ins := c.next()
 						delta = append(delta, pdb.Delete(del), pdb.Insert(ins, pdb.ProbOne))
 					}
-					if _, err := est.ApplyDelta(delta); err != nil {
-						panic(err)
-					}
-					if _, err := est.UREstimate(estOpts); err != nil {
-						panic(err)
-					}
+					must(est.ApplyDelta(delta))
+					must(est.UREstimate(estOpts))
+				},
+				"fresh", func() {
+					cFull.noteSteps(n, nil)
+					must(core.UREstimate(estQ, hFull.DB(), estOpts))
 				})
-				out.Results = append(out.Results, benchRecord{
-					Name:    fmt.Sprintf("ChurnEstimate/path3_facts=%d/n=%d/session", estSize, n),
-					Workers: w, Ops: ops, NsPerOp: ns, AllocsPerOp: allocs, BytesPerOp: bytes,
-				})
-			}
-			{
-				h := hBase.Clone()
-				c := &churner{d: h.DB(), rel: estRel}
-				ops, ns, allocs, bytes := measure(func(i int) {
-					for k := 0; k < n; k++ {
-						c.step()
-					}
-					if _, err := core.UREstimate(estQ, h.DB(), estOpts); err != nil {
-						panic(err)
-					}
-				})
-				out.Results = append(out.Results, benchRecord{
-					Name:    fmt.Sprintf("ChurnEstimate/path3_facts=%d/n=%d/fresh", estSize, n),
-					Workers: w, Ops: ops, NsPerOp: ns, AllocsPerOp: allocs, BytesPerOp: bytes,
-				})
-			}
 		}
 	}
+	return out, nil
+}
 
-	data, err := json.MarshalIndent(out, "", "  ")
+// must panics on a benchmark op's error.
+func must[T any](_ T, err error) {
 	if err != nil {
-		return err
+		panic(err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d results)\n", path, len(out.Results))
-	return nil
 }

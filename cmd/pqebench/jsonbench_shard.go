@@ -1,16 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"os"
-	"runtime"
 
 	"pqe/internal/core"
 	"pqe/internal/cq"
 	"pqe/internal/gen"
+	"pqe/internal/obs"
 	"pqe/internal/pdb"
 	"pqe/internal/shard"
 )
@@ -18,36 +15,6 @@ import (
 // shardTrials is the fixed trial schedule of the shard suite: large
 // enough that every worker of the widest pool gets a non-empty range.
 const shardTrials = 8
-
-// shardBenchRecord is one row of BENCH_shard.json. Workers 0 is the
-// in-process baseline; every sharded row must reproduce its
-// EstimateBits exactly — the suite's correctness gate rides on the
-// benchmark file itself.
-type shardBenchRecord struct {
-	Name    string `json:"name"`
-	Workers int    `json:"workers"`
-	Ops     int    `json:"ops"`
-	NsPerOp int64  `json:"ns_per_op"`
-	// TrialsPerOp is the number of FPRAS trials dispatched to workers
-	// per evaluation, from the pool's dispatch counters (0 for the
-	// in-process baseline).
-	TrialsPerOp int64 `json:"trials_per_op"`
-	// Estimate is the probability; EstimateBits its exact float64
-	// encoding, so bit-identity across worker counts survives the JSON
-	// round trip.
-	Estimate     float64 `json:"estimate"`
-	EstimateBits uint64  `json:"estimate_bits"`
-}
-
-type shardBenchFile struct {
-	Suite     string             `json:"suite"`
-	GoVersion string             `json:"go_version"`
-	NumCPU    int                `json:"num_cpu"`
-	Epsilon   float64            `json:"epsilon"`
-	Seed      int64              `json:"seed"`
-	Trials    int                `json:"trials"`
-	Results   []shardBenchRecord `json:"results"`
-}
 
 type shardWorkload struct {
 	name string
@@ -74,108 +41,76 @@ func shardWorkloads() []shardWorkload {
 	}
 }
 
-// runJSONBenchShard benchmarks distributed trial sharding against real
-// worker processes: an in-process baseline, then pools of baseWorkers
-// and 2×baseWorkers subprocesses, writing BENCH_shard.json. Every
-// sharded estimate must be bit-identical to the baseline; the writer
-// fails fast on a mismatch rather than record a broken file.
-func runJSONBenchShard(path string, eps float64, seed int64, baseWorkers int, stdout io.Writer) error {
-	out := shardBenchFile{
-		Suite:     "shard",
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		Epsilon:   eps,
-		Seed:      seed,
-		Trials:    shardTrials,
+// shardRow measures one workload, in process (pool nil, workers 0) or
+// sharded over pool's n workers. Op 0 runs at the suite seed: its
+// estimate is the row's, and the trials it dispatched to workers are
+// the row's trials_per_op.
+func shardRow(cfg benchConfig, wl shardWorkload, pool *shard.Pool, n int) row {
+	dispatched := func() int64 {
+		if pool == nil {
+			return 0
+		}
+		return pool.Stats().TrialsDispatched
 	}
+	var est float64
+	var trials int64
+	r := measure(func(sc *obs.Scope, i int) {
+		o := core.Options{Epsilon: cfg.eps, Seed: cfg.seed + int64(i), Trials: shardTrials, Obs: sc}
+		if pool != nil {
+			o.Shard = pool
+		}
+		before := dispatched()
+		p, err := wl.eval(wl.q, wl.h, o)
+		if err != nil {
+			panic(fmt.Sprintf("shard %s workers=%d: %v", wl.name, n, err))
+		}
+		if i == 0 {
+			est, trials = p, dispatched()-before
+		}
+	})[0]
+	r.Name, r.Workers = wl.name, n
+	r.TrialsPerOp = trials
+	r.Estimate, r.EstimateBits = est, math.Float64bits(est)
+	return r
+}
 
+// benchShard benchmarks distributed trial sharding against real worker
+// processes: an in-process baseline (workers 0), then pools of
+// cfg.shardWorkers and twice as many subprocesses. Every sharded op-0
+// estimate must be bit-identical to the baseline's; the suite fails
+// fast on a mismatch rather than record a broken file.
+func benchShard(cfg benchConfig) (*benchFile, error) {
+	out := cfg.file("shard")
+	out.Trials = shardTrials
 	workloads := shardWorkloads()
-	opts := func(i int) core.Options {
-		return core.Options{Epsilon: eps, Seed: seed + int64(i), Trials: shardTrials}
-	}
-
-	// In-process baseline rows (workers = 0).
 	baseline := map[string]uint64{}
 	for _, wl := range workloads {
-		var last float64
-		ops, ns, _, _ := measure(func(i int) {
-			p, err := wl.eval(wl.q, wl.h, opts(i))
-			if err != nil {
-				panic(fmt.Sprintf("shard baseline %s: %v", wl.name, err))
-			}
-			last = p
-		})
-		// The timed loop varies the seed per op; re-run the fixed seed so
-		// the recorded estimate is the one sharded rows must reproduce.
-		p, err := wl.eval(wl.q, wl.h, opts(0))
-		if err != nil {
-			return err
-		}
-		last = p
-		baseline[wl.name] = math.Float64bits(last)
-		out.Results = append(out.Results, shardBenchRecord{
-			Name: wl.name, Workers: 0, Ops: ops, NsPerOp: ns,
-			Estimate: last, EstimateBits: math.Float64bits(last),
-		})
+		r := shardRow(cfg, wl, nil, 0)
+		baseline[wl.name] = r.EstimateBits
+		out.Results = append(out.Results, r)
 	}
 
-	counts := []int{baseWorkers, 2 * baseWorkers}
-	total := counts[len(counts)-1]
-	addrs, stopWorkers, err := spawnWorkers(total)
+	counts := []int{cfg.shardWorkers, 2 * cfg.shardWorkers}
+	addrs, stopWorkers, err := spawnWorkers(counts[len(counts)-1])
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer stopWorkers()
-
 	for _, n := range counts {
 		pool, err := shard.Dial(addrs[:n], shard.PoolConfig{})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, wl := range workloads {
-			sopts := func(i int) core.Options {
-				o := opts(i)
-				o.Shard = pool
-				return o
-			}
-			var last float64
-			ops, ns, _, _ := measure(func(i int) {
-				p, err := wl.eval(wl.q, wl.h, sopts(i))
-				if err != nil {
-					panic(fmt.Sprintf("shard %s workers=%d: %v", wl.name, n, err))
-				}
-				last = p
-			})
-			before := pool.Stats()
-			p, err := wl.eval(wl.q, wl.h, sopts(0))
-			if err != nil {
+			r := shardRow(cfg, wl, pool, n)
+			if r.EstimateBits != baseline[wl.name] {
 				pool.Close()
-				return err
+				return nil, fmt.Errorf("shard %s workers=%d: estimate %v (bits %#x) != baseline bits %#x: not bit-identical",
+					wl.name, n, r.Estimate, r.EstimateBits, baseline[wl.name])
 			}
-			last = p
-			trialsPerOp := pool.Stats().TrialsDispatched - before.TrialsDispatched
-			if bits := math.Float64bits(last); bits != baseline[wl.name] {
-				pool.Close()
-				return fmt.Errorf("shard %s workers=%d: estimate %v (bits %#x) != baseline bits %#x: not bit-identical",
-					wl.name, n, last, bits, baseline[wl.name])
-			}
-			out.Results = append(out.Results, shardBenchRecord{
-				Name: wl.name, Workers: n, Ops: ops, NsPerOp: ns,
-				TrialsPerOp: trialsPerOp,
-				Estimate:    last, EstimateBits: math.Float64bits(last),
-			})
+			out.Results = append(out.Results, r)
 		}
 		pool.Close()
 	}
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d results, workers %v, bit-identical to baseline)\n",
-		path, len(out.Results), counts)
-	return nil
+	return out, nil
 }

@@ -9,7 +9,8 @@
 //	pqebench -markdown        # GitHub-flavored markdown (EXPERIMENTS.md)
 //	pqebench -eps 0.05 -seed 7 -quick
 //	pqebench -maxprocs 8      # counting-engine scheduler workers
-//	pqebench -json            # engine micro-benchmarks -> BENCH_countnfta.json + BENCH_countnfa.json + BENCH_churn.json + BENCH_router.json + BENCH_shard.json
+//	pqebench -json            # benchmark suites -> ./BENCH_{countnfta,countnfa,churn,router,shard}.json
+//	pqebench -json -json-dir /tmp   # the same files under /tmp
 //	pqebench -compare old.json new.json   # per-row ns/allocs deltas + geomean
 package main
 
@@ -38,22 +39,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pqebench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp            = fs.String("exp", "all", "experiment ID (T1, E2..E11, A1, A2) or 'all'")
-		eps            = fs.Float64("eps", 0.1, "FPRAS target relative error ε")
-		seed           = fs.Int64("seed", 1, "random seed")
-		quick          = fs.Bool("quick", false, "shrink sweeps for a fast pass")
-		markdown       = fs.Bool("markdown", false, "emit GitHub-flavored markdown")
-		maxprocs       = fs.Int("maxprocs", runtime.NumCPU(), "workers of the counting engines' unified scheduler")
-		compare        = fs.Bool("compare", false, "compare two bench JSON files given as positional args: per-row ns_per_op/allocs deltas and a geomean summary")
-		maxRegress     = fs.Float64("max-regress", 0, "with -compare, exit non-zero if any row's ns_per_op regresses by more than this fraction (0 disables; 0.25 = 25%)")
-		jsonOut        = fs.Bool("json", false, "run the CountNFTA + CountNFA micro-benchmarks and write -json-out / -json-nfa-out instead of experiment tables")
-		jsonPath       = fs.String("json-out", "BENCH_countnfta.json", "output path for the tree-engine suite under -json")
-		jsonNFAPath    = fs.String("json-nfa-out", "BENCH_countnfa.json", "output path for the string-engine suite under -json")
-		jsonChurnPath  = fs.String("json-churn-out", "BENCH_churn.json", "output path for the fact-churn (incremental vs rebuild) suite under -json")
-		jsonRouterPath = fs.String("json-router-out", "BENCH_router.json", "output path for the routed-vs-forced-FPRAS mixed workload under -json")
-		jsonShardPath  = fs.String("json-shard-out", "BENCH_shard.json", "output path for the multi-process trial-sharding suite under -json")
-		shardWorkers   = fs.Int("shard-workers", 2, "base worker-process count of the shard suite (it runs at N and 2N)")
-		debugAddr      = fs.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address while the suite runs (CPU profiles carry the engines' pqe_engine/pqe_stage labels)")
+		exp          = fs.String("exp", "all", "experiment ID (T1, E2..E11, A1, A2) or 'all'")
+		eps          = fs.Float64("eps", 0.1, "FPRAS target relative error ε")
+		seed         = fs.Int64("seed", 1, "random seed")
+		quick        = fs.Bool("quick", false, "shrink sweeps for a fast pass")
+		markdown     = fs.Bool("markdown", false, "emit GitHub-flavored markdown")
+		maxprocs     = fs.Int("maxprocs", runtime.NumCPU(), "workers of the counting engines' unified scheduler")
+		compare      = fs.Bool("compare", false, "compare two bench JSON files given as positional args: per-row ns_per_op/allocs deltas and a geomean summary")
+		maxRegress   = fs.Float64("max-regress", 0, "with -compare, exit non-zero if any row's ns_per_op regresses by more than this fraction (0 disables; 0.25 = 25%)")
+		jsonOut      = fs.Bool("json", false, "run the benchmark suites and write BENCH_<suite>.json into -json-dir instead of experiment tables")
+		jsonDir      = fs.String("json-dir", ".", "output directory of the -json suites")
+		shardWorkers = fs.Int("shard-workers", 2, "base worker-process count of the shard suite (it runs at N and 2N)")
+		debugAddr    = fs.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address while the suite runs (CPU profiles carry the engines' pqe_engine/pqe_stage labels)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,19 +79,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *jsonOut {
-		if err := runJSONBench(*jsonPath, *eps, *seed, *maxprocs, stdout); err != nil {
-			return err
-		}
-		if err := runJSONBenchNFA(*jsonNFAPath, *eps, *seed, *maxprocs, stdout); err != nil {
-			return err
-		}
-		if err := runJSONBenchChurn(*jsonChurnPath, *eps, *seed, *maxprocs, stdout); err != nil {
-			return err
-		}
-		if err := runJSONBenchRouter(*jsonRouterPath, *eps, *seed, *maxprocs, stdout); err != nil {
-			return err
-		}
-		return runJSONBenchShard(*jsonShardPath, *eps, *seed, *shardWorkers, stdout)
+		return runJSONBench(*jsonDir, benchConfig{eps: *eps, seed: *seed, workers: *maxprocs, shardWorkers: *shardWorkers}, stdout)
 	}
 
 	opts := experiments.Opts{Epsilon: *eps, Seed: *seed, Quick: *quick, MaxProcs: *maxprocs}

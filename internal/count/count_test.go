@@ -347,6 +347,23 @@ func TestStatsCollected(t *testing.T) {
 	}
 }
 
+// A call's registry flush allocates nothing: every counter name is
+// built once per engine, so a counting call makes as many heap
+// allocations with a registry attached as without one.
+func TestRegistryFlushAllocFree(t *testing.T) {
+	a := chains()
+	allocs := func(sc *obs.Scope) float64 {
+		return testing.AllocsPerRun(50, func() {
+			Trees(a, 4, Options{Trials: 1, Seed: 1, MaxProcs: 1, Obs: sc})
+		})
+	}
+	bare := allocs(nil)
+	withReg := allocs(obs.NewScope(nil, obs.NewRegistry(), nil))
+	if withReg > bare {
+		t.Errorf("Trees allocates %.0f objects per call with a registry, %.0f without", withReg, bare)
+	}
+}
+
 func TestTreesMatchesDeterminizedOracleLarger(t *testing.T) {
 	// Cross-validate against the determinization oracle at sizes the
 	// enumeration oracle cannot reach.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -174,5 +175,112 @@ func TestRequestBodyLimit(t *testing.T) {
 				t.Errorf("error body %q is not a typed error response (%v)", data, err)
 			}
 		})
+	}
+}
+
+// A database listing must not hold the server lock while it waits for a
+// database: with a delta queued behind a slow estimate on "default",
+// GET /v1/databases waits for that entry, and an estimate on another
+// database must still be admitted and answered while the slow one runs.
+func TestDatabaseListingDoesNotStallOtherDatabases(t *testing.T) {
+	s, ts := newTestServer(t, Config{Budget: 4}, 4)
+	s.AddDatabase("other", testDB(t, 4))
+	otherBody := strings.Replace(estimateBody(2, 0.5, 1, ""), `"default"`, `"other"`, 1)
+	estimateOK(t, ts.URL, otherBody) // warm, so the timed request is a session hit
+
+	// The slow estimate streams, so the test knows it is counting (and
+	// holds its database's read lock) once the first trial event lands.
+	counting := make(chan struct{})
+	slowDone := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/estimate/stream", "application/json",
+			strings.NewReader(estimateBody(1, 0.04, 15, "")))
+		if err != nil {
+			close(counting)
+			slowDone <- err
+			return
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		first := true
+		for sc.Scan() {
+			if first && sc.Text() == "event: trial" {
+				first = false
+				close(counting)
+			}
+		}
+		if first {
+			close(counting)
+		}
+		slowDone <- sc.Err()
+	}()
+	<-counting
+
+	// Queue a delta on "default" behind the slow estimate, then list the
+	// databases behind the delta. Each waits on its lock right after it
+	// shows up in flight; the short sleeps give it the moment to get
+	// there.
+	deltaDone := make(chan struct{})
+	go func() {
+		defer close(deltaDone)
+		resp, err := http.Post(ts.URL+"/v1/delta", "application/json", strings.NewReader(
+			`{"database":"default","ops":[{"op":"insert","relation":"R1","args":["z1","b0"],"prob":"1/3"}]}`))
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitInflight(t, ts.URL, "delta")
+	time.Sleep(20 * time.Millisecond)
+	listDone := make(chan struct{})
+	go func() {
+		defer close(listDone)
+		resp, err := http.Get(ts.URL + "/v1/databases")
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitInflight(t, ts.URL, "databases")
+	time.Sleep(20 * time.Millisecond)
+
+	otherDone := make(chan error, 1)
+	go func() {
+		_, err := postEstimate(ts.URL, otherBody)
+		otherDone <- err
+	}()
+	select {
+	case err := <-otherDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("estimate on another database still blocked after 30s: lock-order deadlock")
+	}
+	select {
+	case err := <-slowDone:
+		t.Errorf("the estimate on another database finished only after the slow estimate (err %v): it was stalled behind the database listing", err)
+	default:
+		if err := <-slowDone; err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-deltaDone
+	<-listDone
+}
+
+// waitInflight waits until a request on route shows up in the flight
+// recorder.
+func waitInflight(t *testing.T, base, route string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for _, rec := range debugRequests(t, base).Inflight {
+			if rec.Route == route {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s request in flight", route)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -633,14 +633,22 @@ func (s *Server) handleDatabases(w http.ResponseWriter, r *http.Request) {
 		Version uint64 `json:"version"`
 		Facts   int    `json:"facts"`
 	}
+	// Copy the entries and release s.mu before taking any entry's lock:
+	// an estimate holds its entry's read lock while it takes s.mu, so
+	// waiting for an entry under s.mu (behind a delta queued on a slow
+	// estimate) would stall every admission, or deadlock.
 	s.mu.Lock()
-	infos := make([]dbInfo, 0, len(s.dbs))
+	ents := make([]*dbEntry, 0, len(s.dbs))
 	for _, ent := range s.dbs {
+		ents = append(ents, ent)
+	}
+	s.mu.Unlock()
+	infos := make([]dbInfo, 0, len(ents))
+	for _, ent := range ents {
 		ent.mu.RLock()
 		infos = append(infos, dbInfo{Name: ent.name, Version: ent.db.Version(), Facts: ent.db.Size()})
 		ent.mu.RUnlock()
 	}
-	s.mu.Unlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	t0 := time.Now()
 	writeJSON(w, http.StatusOK, map[string]any{"databases": infos})

@@ -108,11 +108,18 @@ type Kind struct {
 	pkg             string // error-message prefix
 	span, rangeSpan string
 	labels          []string
-	// Registry names of the effort counters, in end's flush order, and
-	// of the interned-structure gauge, built once so a flush
-	// concatenates nothing.
+	// Registry names of the effort counters, in end's flush order, of
+	// the interned-structure gauge and of the per-call metrics, built
+	// once so a flush concatenates nothing.
 	effort [7]string
 	gauge  string
+	names  callNames
+}
+
+// callNames are the registry names of the per-call metrics end flushes.
+type callNames struct {
+	calls, trials, spawns, busyNs, wallNs, planHits, planMisses,
+	batches, chunks, steals, queueDepth, seconds, saved, stops string
 }
 
 // NewKind describes an engine: its registry prefix and pprof label
@@ -132,6 +139,15 @@ func NewKind(engine, pkg, span string, keys [2]string, gauge string) *Kind {
 		effort: [7]string{p + keys[0] + "_total", p + keys[1] + "_total", p + "memo_hits_total",
 			p + "memo_misses_total", p + "union_samples_total", p + "rejections_total", p + "accept_checks_total"},
 		gauge: p + gauge,
+		names: callNames{
+			calls: p + "calls_total", trials: p + "trials_total",
+			spawns: p + "worker_spawns_total", busyNs: p + "worker_busy_ns_total",
+			wallNs: p + "wall_ns_total", planHits: p + "plan_cache_hits_total",
+			planMisses: p + "plan_cache_misses_total", batches: p + "sched_batches_total",
+			chunks: p + "sched_chunks_total", steals: p + "sched_steals_total",
+			queueDepth: p + "sched_queue_depth", seconds: p + "call_seconds",
+			saved: p + "trials_saved_total", stops: p + "anytime_stops_total",
+		},
 	}
 }
 
@@ -313,28 +329,28 @@ func (c *counting[R, S]) end(res *trial.Result) {
 		}
 		reg.Gauge(k.gauge).Set(float64(c.pl.interned))
 
-		p := k.engine + "_"
+		nm := &k.names
 		wall := time.Since(c.start)
 		st := c.st
-		reg.Counter(p + "calls_total").Inc()
-		reg.Counter(p + "trials_total").Add(int64(len(c.trials)))
-		reg.Counter(p + "worker_spawns_total").Add(st.Spawns)
-		reg.Counter(p + "worker_busy_ns_total").Add(st.BusyNs)
-		reg.Counter(p + "wall_ns_total").Add(wall.Nanoseconds())
+		reg.Counter(nm.calls).Inc()
+		reg.Counter(nm.trials).Add(int64(len(c.trials)))
+		reg.Counter(nm.spawns).Add(st.Spawns)
+		reg.Counter(nm.busyNs).Add(st.BusyNs)
+		reg.Counter(nm.wallNs).Add(wall.Nanoseconds())
 		if c.hit {
-			reg.Counter(p + "plan_cache_hits_total").Inc()
+			reg.Counter(nm.planHits).Inc()
 		} else {
-			reg.Counter(p + "plan_cache_misses_total").Inc()
+			reg.Counter(nm.planMisses).Inc()
 		}
-		reg.Counter(p + "sched_batches_total").Add(st.Batches)
-		reg.Counter(p + "sched_chunks_total").Add(st.Chunks)
-		reg.Counter(p + "sched_steals_total").Add(st.Steals)
-		reg.Gauge(p + "sched_queue_depth").Set(float64(st.MaxQueue))
-		reg.Histogram(p + "call_seconds").Observe(wall.Seconds())
+		reg.Counter(nm.batches).Add(st.Batches)
+		reg.Counter(nm.chunks).Add(st.Chunks)
+		reg.Counter(nm.steals).Add(st.Steals)
+		reg.Gauge(nm.queueDepth).Set(float64(st.MaxQueue))
+		reg.Histogram(nm.seconds).Observe(wall.Seconds())
 		if res != nil {
-			reg.Counter(p + "trials_saved_total").Add(int64(res.Saved))
+			reg.Counter(nm.saved).Add(int64(res.Saved))
 			if res.Saved > 0 {
-				reg.Counter(p + "anytime_stops_total").Inc()
+				reg.Counter(nm.stops).Inc()
 			}
 		}
 	}
