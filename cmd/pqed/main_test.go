@@ -6,8 +6,30 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// syncBuffer is a bytes.Buffer safe for concurrent writers: during a
+// smoke run the server's access log and the smoke script's progress
+// lines both write to stderr (an *os.File, itself safe for that, in
+// the real binary).
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
 
 // TestSmokeWorkload runs the full in-process smoke lane: scripted
 // one-shot, streamed, burst and delta traffic against a loopback
@@ -15,7 +37,7 @@ import (
 // This is exactly what `make serve-smoke` runs in CI.
 func TestSmokeWorkload(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "metrics.prom")
-	var stdout, stderr bytes.Buffer
+	var stdout, stderr syncBuffer
 	if err := run([]string{"-smoke", "-smoke-out", out}, &stdout, &stderr); err != nil {
 		t.Fatalf("run -smoke: %v\nstderr:\n%s", err, stderr.String())
 	}
@@ -38,7 +60,7 @@ func TestSmokeWorkload(t *testing.T) {
 
 // TestSmokeToStdout: without -smoke-out the scrape lands on stdout.
 func TestSmokeToStdout(t *testing.T) {
-	var stdout, stderr bytes.Buffer
+	var stdout, stderr syncBuffer
 	if err := run([]string{"-smoke"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run -smoke: %v\nstderr:\n%s", err, stderr.String())
 	}
@@ -48,7 +70,7 @@ func TestSmokeToStdout(t *testing.T) {
 }
 
 func TestFlagErrors(t *testing.T) {
-	var stdout, stderr bytes.Buffer
+	var stdout, stderr syncBuffer
 	if err := run(nil, &stdout, &stderr); err == nil {
 		t.Error("run without -db or -smoke should fail")
 	}
@@ -67,7 +89,7 @@ func TestFlagErrors(t *testing.T) {
 // line-delimited JSON whose records carry the correlation ID, route and
 // status of every smoke request.
 func TestSmokeJSONLogs(t *testing.T) {
-	var stdout, stderr bytes.Buffer
+	var stdout, stderr syncBuffer
 	if err := run([]string{"-smoke", "-log-format", "json", "-flight-recorder-size", "32"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run -smoke: %v\nstderr:\n%s", err, stderr.String())
 	}
@@ -104,7 +126,7 @@ func TestSmokeWithDatabaseFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(db.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var stdout, stderr bytes.Buffer
+	var stdout, stderr syncBuffer
 	if err := run([]string{"-db", path, "-smoke"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run -db -smoke: %v\nstderr:\n%s", err, stderr.String())
 	}

@@ -92,6 +92,7 @@ func runSmoke(srv *serve.Server, stdout, stderr io.Writer, outPath string) error
 
 	// Phase 4: delta with version check, then re-estimate (new value may
 	// differ — the database changed — but must again be deterministic).
+	// The session outlives the delta: the first read after it is a hit.
 	dbsResp, err := getJSON(base + "/v1/databases")
 	if err != nil {
 		return fmt.Errorf("databases: %w", err)
@@ -111,6 +112,9 @@ func runSmoke(srv *serve.Server, stdout, stderr io.Writer, outPath string) error
 	}
 	if fmt.Sprint(after1["probability"]) != fmt.Sprint(after2["probability"]) {
 		return fmt.Errorf("post-delta estimates disagree")
+	}
+	if after1["cache"] != "hit" {
+		return fmt.Errorf(`first post-delta estimate: cache %v, want "hit"`, after1["cache"])
 	}
 	// A stale delta must 409.
 	resp, err := http.Post(base+"/v1/delta", "application/json", strings.NewReader(deltaBody))
@@ -137,6 +141,7 @@ func runSmoke(srv *serve.Server, stdout, stderr io.Writer, outPath string) error
 		"pqed_requests_total", "pqed_inflight", "pqed_queue_wait_seconds",
 		"pqed_request_seconds", "pqed_session_hits_total", "pqed_session_misses_total",
 		"pqed_requests_shed_total", "pqed_phase_seconds", "go_goroutines",
+		"pqed_session_evictions_total",
 	} {
 		if !bytes.Contains(metrics, []byte(family)) {
 			return fmt.Errorf("/metrics is missing %s", family)
@@ -149,6 +154,14 @@ func runSmoke(srv *serve.Server, stdout, stderr io.Writer, outPath string) error
 	}
 	if shed := metricValue(metrics, "pqed_requests_shed_total"); shed != 0 {
 		return fmt.Errorf("pqed_requests_shed_total = %g at low load, want 0", shed)
+	}
+	// The delta evicted no session; the session's next read rebuilt its
+	// database-keyed stages instead.
+	if ev := metricValue(metrics, "pqed_session_evictions_total"); ev != 0 {
+		return fmt.Errorf("pqed_session_evictions_total = %g, want 0", ev)
+	}
+	if rb := metricValue(metrics, "pqe_estimator_rebuilds_total"); rb < 1 {
+		return fmt.Errorf("pqe_estimator_rebuilds_total = %g after a delta, want ≥ 1", rb)
 	}
 
 	// Phase 6: the flight recorder attributes every request — each

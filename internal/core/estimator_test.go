@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pqe/internal/cq"
+	"pqe/internal/obs"
 	"pqe/internal/pdb"
 )
 
@@ -282,5 +283,49 @@ func TestUREstimatorRejectsProbabilityMethods(t *testing.T) {
 	}
 	if err := est.SetProbabilities(h); err == nil {
 		t.Error("SetProbabilities on a UR-only estimator did not error")
+	}
+}
+
+// Build spans belong to the call that ran the build: a session built
+// with telemetry S and called with telemetry T traces every stage in T
+// and none in S, while the stage counters stay on the session registry.
+func TestBuildSpansGoToCallScope(t *testing.T) {
+	q, h := pathInstance(t)
+	sessTr, callTr := obs.NewTracer(), obs.NewTracer()
+	est := NewEstimator(q, h, Options{Obs: obs.NewScope(sessTr, obs.NewRegistry(), nil)})
+	ph := obs.NewPhases()
+	call := Options{Epsilon: 0.2, Trials: 3, Seed: 5, Obs: obs.NewScope(callTr, obs.NewRegistry(), nil).WithPhases(ph)}
+	plain := NewEstimator(q, h, Options{})
+	for _, e := range []*Estimator{est, plain} {
+		o := call
+		if e == plain {
+			o.Obs = nil
+		}
+		if _, err := e.PQEEstimate(o); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.PathPQEEstimate(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if roots := sessTr.Roots(); len(roots) != 0 {
+		t.Errorf("session trace holds %d root spans, want none (first %s)", len(roots), roots[0].Name())
+	}
+	names := map[string]bool{}
+	for _, r := range callTr.Roots() {
+		names[r.Name()] = true
+	}
+	for _, want := range []string{"pqe.decompose", "pqe.build_ur", "pqe.weight_ur", "pqe.build_path_nfa", "pqe.weight_path"} {
+		if !names[want] {
+			t.Errorf("call trace lacks the %s span (roots %v)", want, names)
+		}
+	}
+	if ph.Build() != "full" || ph.Seconds()["build"] <= 0 {
+		t.Errorf("call phases: build kind %q, %v s; want full and positive", ph.Build(), ph.Seconds()["build"])
+	}
+	want := BuildStats{Decompositions: 1, URReductions: 1, PathAutomata: 1, Weightings: 2}
+	if got := est.BuildStats(); got != want || plain.BuildStats() != want {
+		t.Errorf("BuildStats = %+v with a call scope, %+v without; want %+v", got, plain.BuildStats(), want)
 	}
 }

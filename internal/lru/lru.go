@@ -50,20 +50,6 @@ func (c *Cache[K, V]) Put(key K, val V) (evicted int) {
 	return evicted
 }
 
-// RemoveIf drops every entry for which drop holds and returns how many
-// it dropped.
-func (c *Cache[K, V]) RemoveIf(drop func(K, V) bool) (removed int) {
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*entry[K, V]); drop(e.key, e.val) {
-			c.remove(el)
-			removed++
-		}
-		el = next
-	}
-	return removed
-}
-
 // Len reports the number of entries.
 func (c *Cache[K, V]) Len() int { return len(c.items) }
 

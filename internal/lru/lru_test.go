@@ -24,21 +24,3 @@ func TestEvictsLeastRecentlyUsed(t *testing.T) {
 		t.Errorf("Get(a) after replace = %d, want 10", v)
 	}
 }
-
-func TestRemoveIf(t *testing.T) {
-	c := New[string, int](8)
-	for i, k := range []string{"a", "b", "c", "d"} {
-		c.Put(k, i)
-	}
-	if n := c.RemoveIf(func(_ string, v int) bool { return v%2 == 0 }); n != 2 {
-		t.Fatalf("RemoveIf removed %d entries, want 2", n)
-	}
-	for _, k := range []string{"a", "c"} {
-		if _, ok := c.Get(k); ok {
-			t.Errorf("%s survived RemoveIf", k)
-		}
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
-	}
-}

@@ -38,8 +38,9 @@ type deltaResponse struct {
 
 // handleDelta applies a fact-level delta under the database write lock:
 // it waits for in-flight estimates over this database to finish, checks
-// the optimistic version, applies atomically, and retires every cached
-// session of the database (their keys embed the old version).
+// the optimistic version and applies atomically. Sessions stay cached:
+// the next read of each sees the version drift and rebuilds its
+// database-keyed stages.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	tk := s.track(w, r, "delta")
 	tk.ensureID(0) // deltas carry no seed; ID from the zero stream
@@ -101,28 +102,24 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	lockT0 := time.Now()
 	ent.mu.Lock()
 	tk.phases.Add(obs.PhaseQueue, time.Since(lockT0))
-	if req.BaseVersion != nil && *req.BaseVersion != ent.db.Version() {
-		cur := ent.db.Version()
+	version := ent.db.Version()
+	if req.BaseVersion != nil && *req.BaseVersion != version {
 		ent.mu.Unlock()
 		s.reg.Counter("pqed_delta_conflicts_total").Inc()
-		tk.version = cur
+		tk.version = version
 		tk.errMsg = "stale base_version"
 		t0 := time.Now()
-		writeJSON(w, http.StatusConflict, errorResponse{
-			Error:   "stale base_version",
-			Version: cur,
-		})
+		writeJSON(w, http.StatusConflict, errorResponse{Error: "stale base_version", Version: version})
 		tk.phases.Add(obs.PhaseSerialize, time.Since(t0))
 		tk.finish(http.StatusConflict)
 		return
 	}
 	applyT0 := time.Now()
 	sum, err := ent.db.ApplyDelta(delta)
-	version := ent.db.Version()
+	version = ent.db.Version()
 	// Applying the delta only updates the database's facts and version;
-	// no automaton is rebuilt here. The sessions built on the old
-	// version are evicted below, and the next read pays the rebuild.
-	// The apply time is booked as the write's build phase.
+	// no automaton is rebuilt here, the next read of each session pays
+	// its rebuild. The apply time is booked as the write's build phase.
 	tk.phases.Add(obs.PhaseBuild, time.Since(applyT0))
 	ent.mu.Unlock()
 	tk.version = version
@@ -130,11 +127,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		tk.fail(http.StatusBadRequest, "delta rejected: %v", err)
 		return
 	}
-	// Sessions for the pre-delta version can never be hit again (the
-	// key embeds the version); drop them now so their automata free.
-	s.mu.Lock()
-	s.evictDatabase(req.Database)
-	s.mu.Unlock()
 	t0 := time.Now()
 	writeJSON(w, http.StatusOK, deltaResponse{
 		Database:  req.Database,
