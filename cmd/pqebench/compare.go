@@ -27,10 +27,14 @@ func loadCompareFile(path string) (*benchFile, error) {
 // workloads without a baseline) or removed (baseline workloads that
 // disappeared — often an accidental rename that would otherwise
 // silently drop a regression gate). With
-// maxRegress > 0 it returns an error if any matched row's ns_per_op
-// grew by more than that fraction, or if any baseline row disappeared
-// — the CI bench-delta lane's failure conditions. A vanished row is a
-// gate failure because an unbounded regression hides behind a rename.
+// maxRegress > 0 it returns an error if any matched row regressed, or
+// if any baseline row disappeared — the CI bench-delta lane's failure
+// conditions. A row regresses when its new median grew by more than
+// that fraction and also sits above the old median plus the old
+// ns_spread (the interquartile distance of the baseline's samples): a
+// median that moved less than the baseline's own spread is noise, not
+// a regression. A vanished row is a gate failure because an unbounded
+// regression hides behind a rename.
 func runCompare(oldPath, newPath string, maxRegress float64, stdout io.Writer) error {
 	oldF, err := loadCompareFile(oldPath)
 	if err != nil {
@@ -74,7 +78,7 @@ func runCompare(oldPath, newPath string, maxRegress float64, stdout io.Writer) e
 		}
 		fmt.Fprintf(stdout, "%-40s %4d %14d %14d %+7.1f%% %10s\n",
 			nr.Name, nr.Workers, or.NsPerOp, nr.NsPerOp, 100*(ratio-1), dAllocs)
-		if maxRegress > 0 && ratio > 1+maxRegress {
+		if maxRegress > 0 && ratio > 1+maxRegress && nr.NsPerOp > or.NsPerOp+or.NsSpread {
 			regressions = append(regressions,
 				fmt.Sprintf("%s (workers=%d): %+.1f%%", nr.Name, nr.Workers, 100*(ratio-1)))
 		}

@@ -33,8 +33,9 @@ func heavyOverlap() *nfta.NFTA {
 var nftaStats = []string{"tree_keys", "forest_keys", "union_samples", "rejections", "wall_ns"}
 
 // benchCountNFTA is the CountNFTA (tree engine) suite: Proposition 1
-// UREstimate end to end and raw counting on a prebuilt automaton, at
-// each worker count.
+// UREstimate end to end, Theorem 1 PQEEstimate on rational
+// probabilities (the weighted count) and raw counting on a prebuilt
+// automaton, at each worker count.
 func benchCountNFTA(cfg benchConfig) (*benchFile, error) {
 	out := cfg.file("countnfta")
 	ur := []struct {
@@ -57,6 +58,17 @@ func benchCountNFTA(cfg benchConfig) (*benchFile, error) {
 				}
 			}))
 		}
+
+		// The rational triangle: 9 facts per relation, dᵢ ≤ 8, counted
+		// with the multipliers as symbol weights.
+		tri := cq.CycleQuery("C", 3)
+		h := gen.Instance(tri, gen.Config{FactsPerRelation: 9, DomainSize: 4, Model: gen.ProbRandomRational, Seed: 21})
+		out.Results = append(out.Results, engineRow("PQEEstimate/triangle_rational", w, "countnfta", nftaStats, func(sc *obs.Scope, i int) {
+			p, err := core.PQEEstimate(tri, h, core.Options{Epsilon: cfg.eps, Seed: cfg.seed + int64(i), MaxProcs: w, Obs: sc})
+			if err != nil || p <= 0 {
+				panic(fmt.Sprintf("PQEEstimate/triangle_rational: err=%v p=%v", err, p))
+			}
+		}))
 
 		a := heavyOverlap()
 		out.Results = append(out.Results, engineRow("CountTrees/heavyOverlap/n=24", w, "countnfta", nftaStats, func(sc *obs.Scope, i int) {

@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		markdown     = fs.Bool("markdown", false, "emit GitHub-flavored markdown")
 		maxprocs     = fs.Int("maxprocs", runtime.NumCPU(), "workers of the counting engines' unified scheduler")
 		compare      = fs.Bool("compare", false, "compare two bench JSON files given as positional args: per-row ns_per_op/allocs deltas and a geomean summary")
-		maxRegress   = fs.Float64("max-regress", 0, "with -compare, exit non-zero if any row's ns_per_op regresses by more than this fraction (0 disables; 0.25 = 25%)")
+		maxRegress   = fs.Float64("max-regress", 0, "with -compare, exit non-zero if any row's ns_per_op regresses by more than this fraction and past the baseline's ns_spread (0 disables; 0.25 = 25%)")
 		jsonOut      = fs.Bool("json", false, "run the benchmark suites and write BENCH_<suite>.json into -json-dir instead of experiment tables")
 		jsonDir      = fs.String("json-dir", ".", "output directory of the -json suites")
 		shardWorkers = fs.Int("shard-workers", 2, "base worker-process count of the shard suite (it runs at N and 2N)")

@@ -49,7 +49,7 @@ func TestRunJSONBench(t *testing.T) {
 	// and again at workers=2 (the shard suite: in process and at 2 and 4
 	// worker processes).
 	files := map[string]*benchFile{}
-	for suite, want := range map[string]int{"countnfta": 8, "countnfa": 10, "churn": 20, "router": 12, "shard": 6} {
+	for suite, want := range map[string]int{"countnfta": 10, "countnfa": 10, "churn": 20, "router": 12, "shard": 6} {
 		data, err := os.ReadFile(filepath.Join(dir, "BENCH_"+suite+".json"))
 		if err != nil {
 			t.Fatal(err)
@@ -230,6 +230,43 @@ func TestRunCompareMaxRegressRemovedRow(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "REMOVED (baseline only): Old/only (workers=1)") {
 		t.Errorf("removed row not reported:\n%s", out.String())
+	}
+}
+
+// TestRunCompareSpreadAware pins the gate's noise rule: a row whose
+// median moved past the threshold but not past the baseline's median
+// plus its ns_spread passes, and an injected 2× slowdown fails.
+func TestRunCompareSpreadAware(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := filepath.Join(dir, "old.json")
+	write := func(path, body string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(oldPath, `{"suite":"router","results":[
+		{"name":"Noisy/row","workers":1,"ns_per_op":100,"ns_spread":40,"allocs_per_op":10},
+		{"name":"Steady/row","workers":1,"ns_per_op":100,"ns_spread":5,"allocs_per_op":10}]}`)
+	for _, c := range []struct {
+		name, noisy, steady string
+		regress             bool
+	}{
+		// +30% on the noisy row is inside its spread; the steady row holds.
+		{"noise", "130", "104", false},
+		{"2x slowdown", "200", "200", true},
+		// Past the threshold and past the steady row's small spread.
+		{"steady regression", "100", "130", true},
+	} {
+		newPath := filepath.Join(dir, "new.json")
+		write(newPath, `{"suite":"router","results":[
+			{"name":"Noisy/row","workers":1,"ns_per_op":`+c.noisy+`,"ns_spread":40,"allocs_per_op":10},
+			{"name":"Steady/row","workers":1,"ns_per_op":`+c.steady+`,"ns_spread":5,"allocs_per_op":10}]}`)
+		var out, errOut strings.Builder
+		err := run([]string{"-compare", "-max-regress", "0.25", oldPath, newPath}, &out, &errOut)
+		if got := err != nil; got != c.regress {
+			t.Errorf("%s: regression reported %v, want %v (err %v)\n%s", c.name, got, c.regress, err, out.String())
+		}
 	}
 }
 

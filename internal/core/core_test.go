@@ -387,10 +387,12 @@ func TestExplainFPRASRoute(t *testing.T) {
 	if r.Route != MethodFPRASTree {
 		t.Errorf("route = %v", r.Route)
 	}
-	if r.AutoStates == 0 || r.FinalTransitions == 0 || r.TreeSize < h.Size() {
+	if r.AutoStates == 0 || r.FinalTransitions == 0 || r.TreeSize != h.Size() {
 		t.Errorf("report incomplete: %+v", r)
 	}
-	if r.DigitNodes != r.TreeSize-h.Size() {
+	// Rational probabilities: the gadgets the weights stand in for would
+	// add digit nodes.
+	if r.DigitNodes <= 0 {
 		t.Errorf("digit accounting wrong: %+v", r)
 	}
 	s := r.String()

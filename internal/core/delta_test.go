@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/big"
 	"testing"
+	"time"
 
 	"pqe/internal/cq"
 	"pqe/internal/efloat"
+	"pqe/internal/obs"
 	"pqe/internal/pdb"
 )
 
@@ -292,5 +296,44 @@ func TestEstimatorOutOfBandMutationRebuilds(t *testing.T) {
 	}
 	if v := est.sc.Registry().Counter("pqe_estimator_rebuilds_total").Value(); v != 1 {
 		t.Errorf("pqe_estimator_rebuilds_total = %d, want 1", v)
+	}
+}
+
+// After an out-of-band mutation the exact route's read recomputes the
+// projections and the route decision outside any construction stage;
+// their time must land in the read's build phase. The instance carries
+// many facts outside the query, so the projection is the bulk of the
+// rebuild: the read's build phase must be at least half of a direct
+// projection's best time.
+func TestOutOfBandMutationBooksBuildPhase(t *testing.T) {
+	q := cq.PathQuery("R", 2)
+	h := pdb.Empty()
+	h.Add(pdb.NewFact("R1", "a", "b"), pdb.ProbHalf)
+	h.Add(pdb.NewFact("R2", "b", "c"), pdb.NewProb(1, 3))
+	for i := 0; i < 20000; i++ {
+		h.Add(pdb.NewFact("Z", fmt.Sprint(i)), pdb.ProbHalf)
+	}
+	est := NewEstimator(q, h, Options{})
+	read := func() time.Duration {
+		t.Helper()
+		ph := obs.NewPhases()
+		res, err := est.Evaluate(Options{Strategy: "auto", Obs: obs.NewScope(nil, obs.NewRegistry(), nil).WithPhases(ph)})
+		if err != nil || !res.Exact {
+			t.Fatalf("read: %v (exact %v)", err, res.Exact)
+		}
+		return ph.Duration(obs.PhaseBuild)
+	}
+	read()
+	h.Add(pdb.NewFact("Z", "new"), pdb.ProbHalf)
+	build := read()
+
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		t0 := time.Now()
+		h.Project(q.RelationSet())
+		best = min(best, time.Since(t0))
+	}
+	if build < best/2 {
+		t.Errorf("post-mutation read booked %v of build, a projection alone takes %v", build, best)
 	}
 }

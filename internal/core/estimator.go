@@ -42,8 +42,8 @@ type BuildStats struct {
 	// PathAutomata counts Section 3 string automaton constructions
 	// (including the one trim shared by all counting calls).
 	PathAutomata int
-	// Weightings counts multiplier-gadget expansions (tree or string),
-	// the only stage that reruns when probabilities change.
+	// Weightings counts multiplier weightings (tree or string), the
+	// only stage that reruns when probabilities change.
 	Weightings int
 	// IncrementalUR counts UR constructions served by an incremental
 	// builder rebuild (a subset of URReductions): after an ApplyDelta,
@@ -233,8 +233,9 @@ func (e *Estimator) version() uint64 {
 // version drift drops every database-keyed cache, builders included, so
 // the next use rebuilds from scratch rather than serving estimates for
 // a database that no longer exists. The drop labels the calling
-// request's build full: the stages it recomputes are not all bracketed
-// by stage. Callers hold mu or the write side of life.
+// request's build full: the projections and route decision it
+// recomputes have no stage counter (timeBuild still books their time).
+// Callers hold mu or the write side of life.
 func (e *Estimator) syncVersion() {
 	if v := e.version(); v != e.srcVersion {
 		e.invalidateAll()
@@ -425,15 +426,25 @@ func (e *Estimator) countBuild(counter string, incremental bool) {
 // pqe_build_* counter, labels the calling request's build, and runs fn
 // under span name in the calling request's scope, accruing the stage's
 // wall time to the request's build phase. Callers hold mu.
-func stage[T any](e *Estimator, counter, name string, fn func(sc *obs.Scope, span *obs.Span) (T, error)) (T, error) {
+func stage[T any](e *Estimator, counter, name string, fn func(sc *obs.Scope, span *obs.Span) (T, error)) (v T, err error) {
 	e.countBuild(counter, false)
+	e.timeBuild(func() {
+		sc, span := e.call.Span(name)
+		v, err = fn(sc, span)
+		span.End()
+	})
+	return v, err
+}
+
+// timeBuild runs fn, accruing its wall time to the calling request's
+// build phase: the stages above, and the projections and route decision
+// a drift rebuild recomputes outside them. Brackets do not nest, so
+// fn must not enter another one. Callers hold mu.
+func (e *Estimator) timeBuild(fn func()) {
 	ph := e.call.PhasesSink()
 	t0 := buildStart(ph)
-	sc, span := e.call.Span(name)
-	v, err := fn(sc, span)
-	span.End()
+	fn()
 	buildEnd(ph, t0)
-	return v, err
 }
 
 // buildStart/buildEnd bracket one construction stage for phase
@@ -473,7 +484,7 @@ func (e *Estimator) decomposition() (*hypertree.Decomposition, error) {
 // computed once and shared by every pipeline.
 func (e *Estimator) proj() *pdb.Database {
 	if e.projDB == nil {
-		e.projDB = e.d.Project(e.q.RelationSet())
+		e.timeBuild(func() { e.projDB = e.d.Project(e.q.RelationSet()) })
 	}
 	return e.projDB
 }
@@ -482,7 +493,7 @@ func (e *Estimator) proj() *pdb.Database {
 // SetProbabilities.
 func (e *Estimator) projProb() *pdb.Probabilistic {
 	if e.projH == nil {
-		e.projH = e.h.Project(e.q.RelationSet())
+		e.timeBuild(func() { e.projH = e.h.Project(e.q.RelationSet()) })
 	}
 	return e.projH
 }
@@ -498,9 +509,10 @@ func (e *Estimator) urReduction() (*reduction.URReduction, error) {
 		if err != nil || dec.Width() > e.maxWidth() {
 			return nil, fmt.Errorf("%w: no decomposition of width ≤ %d for %q", ErrUnsupported, e.maxWidth(), e.q)
 		}
+		proj := e.proj()
 		return stage(e, "pqe_build_ur_reductions_total", "pqe.build_ur", func(sc *obs.Scope, span *obs.Span) (*reduction.URReduction, error) {
 			if e.urb == nil {
-				if e.urb, err = reduction.NewURBuilder(e.q, e.proj(), dec); err != nil {
+				if e.urb, err = reduction.NewURBuilder(e.q, proj, dec); err != nil {
 					return nil, err
 				}
 			} else {
@@ -513,14 +525,6 @@ func (e *Estimator) urReduction() (*reduction.URReduction, error) {
 			if red == nil {
 				return nil, err
 			}
-			// The weighting interns its digit symbols into this reduction's
-			// interner, which the built automaton shares. Intern them now,
-			// while the reduction is still private to the build critical
-			// section: once published, concurrent counting (the acceptance
-			// index) and decoding read the interner, so it must not be
-			// written again. They get the IDs the weighting would give them.
-			red.Symbols.Intern(nfta.Digit0)
-			red.Symbols.Intern(nfta.Digit1)
 			if span != nil {
 				span.SetAttr("states", red.Auto.NumStates())
 				span.SetAttr("tree_size", red.TreeSize)
@@ -539,10 +543,11 @@ func (e *Estimator) pathAutomaton() (*nfa.NFA, error) {
 		if !e.q.IsPath() || !e.q.SelfJoinFree() {
 			return nil, fmt.Errorf("core: PathEstimate needs a self-join-free path query, got %q", e.q)
 		}
+		proj := e.proj()
 		return stage(e, "pqe_build_path_automata_total", "pqe.build_path_nfa", func(sc *obs.Scope, _ *obs.Span) (*nfa.NFA, error) {
 			if e.pathb == nil {
 				var err error
-				if e.pathb, err = reduction.NewPathBuilder(e.q, e.proj()); err != nil {
+				if e.pathb, err = reduction.NewPathBuilder(e.q, proj); err != nil {
 					return nil, err
 				}
 			} else {
@@ -568,24 +573,25 @@ func (e *Estimator) pqeReduction() (*reduction.PQEReduction, error) {
 		if err != nil {
 			return nil, err
 		}
+		h := e.projProb()
 		return stage(e, "pqe_build_weightings_total", "pqe.weight_ur", func(*obs.Scope, *obs.Span) (*reduction.PQEReduction, error) {
-			return reduction.WeightUR(ur, e.projProb())
+			return reduction.WeightUR(ur, h)
 		})
 	})
 }
 
 // pathPQEReduction returns the cached weighted string automaton,
 // re-weighting the cached base on first use after construction or
-// SetProbabilities. Note the weighted automaton uses the untrimmed
-// base: the gadget expansion re-trims after inserting comparators.
+// SetProbabilities.
 func (e *Estimator) pathPQEReduction() (*reduction.PathPQEReduction, error) {
 	return e.pathPQERed.get(func() (*reduction.PathPQEReduction, error) {
 		base, err := e.pathAutomaton()
 		if err != nil {
 			return nil, err
 		}
+		h := e.projProb()
 		return stage(e, "pqe_build_weightings_total", "pqe.weight_path", func(*obs.Scope, *obs.Span) (*reduction.PathPQEReduction, error) {
-			return reduction.WeightPathNFA(e.q, e.projProb(), base)
+			return reduction.WeightPathNFA(e.q, h, base)
 		})
 	})
 }

@@ -40,7 +40,7 @@ func goldenShapes() []goldenShape {
 var goldenBits = map[string][4][2]uint64{
 	"path3-half":     {{0x3fedceb4d32298f9, 0x3fedceb4d32298f9}, {0x3fede135ec136a67, 0x3fede135ec136a67}, {0x3fedca0512fdd1d9, 0x3fedca0512fdd1d9}, {0x3fee380ef99806f2, 0x3fee380ef99806f2}},
 	"triangle-half":  {{0x3fe1fd70a3d70a3e, 0x3fe1fd70a3d70a3e}, {0x3fe1afc962fc9630, 0x3fe1afc962fc9630}, {0x3fe1d55555555555, 0x3fe1d55555555555}, {0x3fe1c7ae147ae148, 0x3fe1c7ae147ae148}},
-	"path3-rational": {{0x3feec126c0cea63d, 0x3feec126c0cea63d}, {0x3fef78fe90bb60e2, 0x3fef78fe90bb60e2}, {0x3fee1dfdd5641ae2, 0x3fee1dfdd5641ae2}, {0x3fef31d5f52b41e1, 0x3fef31d5f52b41e1}},
+	"path3-rational": {{0x3feee3da99677288, 0x3feee3da99677288}, {0x3ff020ef99630bd9, 0x3ff020ef99630bd9}, {0x3fef7069339d2af7, 0x3fef7069339d2af7}, {0x3fef91a932553f6d, 0x3fef91a932553f6d}},
 	"path3-churn":    {{0x3ff3a071c71c71c7, 0x3ff3a071c71c71c7}, {0x3fecd64bda12f686, 0x3fecd64bda12f686}, {0x3ff024425ed097b4, 0x3ff024425ed097b4}, {0x3fed664bda12f687, 0x3fed664bda12f687}},
 }
 
@@ -70,6 +70,31 @@ func TestGoldenRoutedEstimates(t *testing.T) {
 	}
 }
 
+// goldenForcedTreeRational pins the tree engine on rational
+// probabilities: math.Float64bits of the force-nfta estimate of the
+// triangle over 9 facts per relation, domain 4, gen.ProbRandomRational,
+// seed 21, indexed [seed-1]; MaxProcs 1 and 4 must both reproduce it.
+// The weights ride on the automaton's rows, so this is the row that
+// moves if the weighted tree counting does.
+var goldenForcedTreeRational = [4]uint64{0x3fe303562a01ea13, 0x3fe2fc7735d0a946, 0x3fe2ee1a072c651f, 0x3fe2f5caa69f093b}
+
+func TestGoldenForcedTreeRational(t *testing.T) {
+	tri := cq.CycleQuery("C", 3)
+	h := gen.Instance(tri, gen.Config{FactsPerRelation: 9, DomainSize: 4, Model: gen.ProbRandomRational, Seed: 21})
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, procs := range []int{1, 4} {
+			res, err := Evaluate(tri, h, Options{Epsilon: 0.1, Seed: seed, MaxProcs: procs, Strategy: "force-nfta"})
+			if err != nil {
+				t.Fatalf("seed %d MaxProcs %d: %v", seed, procs, err)
+			}
+			if got := math.Float64bits(res.Probability); got != goldenForcedTreeRational[seed-1] {
+				t.Errorf("seed %d MaxProcs %d: bits %#x (%v), want %#x (%v)", seed, procs,
+					got, res.Probability, goldenForcedTreeRational[seed-1], math.Float64frombits(goldenForcedTreeRational[seed-1]))
+			}
+		}
+	}
+}
+
 // goldenCounters is one call's engine effort, read from the
 // *_total registry counters in field order: union_samples,
 // accept_checks, rejections, the engine's two memo key counts
@@ -86,7 +111,7 @@ type goldenCounters struct {
 // number of words drawn, membership tests run and rejections taken.
 var goldenEngineCounters = map[string][4]goldenCounters{
 	"path3-half":     {{37800, 78968, 25014, 900, 21, 819}, {37800, 79057, 25114, 900, 21, 819}, {37800, 79617, 25489, 900, 21, 819}, {37800, 79679, 25700, 900, 21, 819}},
-	"path3-rational": {{115200, 175860, 33666, 4833, 72, 2781}, {115200, 175788, 33914, 4833, 72, 2781}, {115200, 176025, 33796, 4833, 72, 2781}, {115200, 175437, 33486, 4833, 72, 2781}},
+	"path3-rational": {{37800, 70828, 20008, 900, 18, 819}, {37800, 70806, 20286, 900, 18, 819}, {37800, 70889, 20002, 900, 18, 819}, {37800, 70950, 20258, 900, 18, 819}},
 	"path3-churn":    {{1560, 2943, 674, 3800, 23, 3721}, {1560, 3075, 827, 3800, 23, 3721}, {1560, 3068, 775, 3800, 23, 3721}, {1560, 3154, 840, 3800, 23, 3721}},
 }
 
@@ -184,7 +209,7 @@ var goldenFixedUR = map[string][4]efloatBits{
 
 var goldenFixedPathPQE = map[string][4]uint64{
 	"path3-half":     {0x3fedceb4d32298f9, 0x3fee1b0706bc2b6d, 0x3fedca0512fdd1d9, 0x3fee0856517525be},
-	"path3-rational": {0x3feed6da1332eb12, 0x3fef78fe90bb60e2, 0x3feef75bdd382908, 0x3fef31d5f52b41e1},
+	"path3-rational": {0x3fef02fc66129482, 0x3ff001c3cadeb19e, 0x3fefa8c9f45b7e59, 0x3fef91a932553f6d},
 	"path3-churn":    {0x3ff3a071c71c71c7, 0x3fecd64bda12f686, 0x3ff024425ed097b4, 0x3fed664bda12f687},
 }
 

@@ -45,10 +45,13 @@ func routerClass(c Classification) router.Class {
 
 // routeDecision returns the session's memoized auto-routing decision,
 // recomputed after any structural invalidation (the decision reads fact
-// counts, which deltas change). Callers hold mu.
+// counts, which deltas change) and booked to the build phase. Callers
+// hold mu.
 func (e *Estimator) routeDecision() router.Decision {
-	d, _ := e.routeDec.get(func() (router.Decision, error) {
-		return router.Decide(e.q, e.proj(), routerClass(e.classification()), router.Config{}), nil
+	d, _ := e.routeDec.get(func() (d router.Decision, _ error) {
+		class, proj := routerClass(e.classification()), e.proj()
+		e.timeBuild(func() { d = router.Decide(e.q, proj, class, router.Config{}) })
+		return d, nil
 	})
 	return d
 }

@@ -122,7 +122,8 @@ func (r *run) Count(n int) efloat.E {
 // Keys reports the tree and forest memo key counts.
 func (r *run) Keys() [2]int { return [2]int{r.trees.Keys(), r.forests.Keys()} }
 
-// treeEst returns the (memoized) estimate of |T(q, n)|.
+// treeEst returns the (memoized) estimate of |T(q, n)|: the sum over
+// root symbols of the symbol's weight times its union estimate.
 func (r *run) treeEst(q, n int) efloat.E {
 	if n <= 0 {
 		return efloat.Zero
@@ -137,7 +138,7 @@ func (r *run) treeEst(q, n int) efloat.E {
 	r.trees.Put(q, n, efloat.Zero)
 	total := efloat.Zero
 	for i := range r.pl.states[q] {
-		total = total.Add(r.symbolUnion(q, i, n))
+		total = total.Add(r.symbolUnion(q, i, n).MulWeight(r.pl.weights, r.pl.states[q][i].sym))
 	}
 	r.trees.Put(q, n, total)
 	return total

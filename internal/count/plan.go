@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"pqe/internal/dense"
+	"pqe/internal/efloat"
 	"pqe/internal/nfta"
 	"pqe/internal/union"
 )
@@ -30,7 +31,8 @@ type symTrans struct {
 // safe for unsynchronized concurrent reads.
 type plan struct {
 	union.Plan[*run, *sampler]
-	a *nfta.NFTA
+	a       *nfta.NFTA
+	weights []efloat.E // a's per-symbol weights, nil when unweighted
 
 	// Per-state symbol entries (sorted by symbol), interned children
 	// tuples, and each tuple's suffix tuple[1:] (interned eagerly so
@@ -63,7 +65,7 @@ func planFor(a *nfta.NFTA) (pl *plan, hit bool) {
 }
 
 func buildPlan(a *nfta.NFTA) *plan {
-	pl := &plan{a: a}
+	pl := &plan{a: a, weights: a.Weights()}
 	tupleIDs := make(map[string]int)
 	var keyBuf []byte
 	var intern func(children []int) int

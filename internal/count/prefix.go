@@ -10,7 +10,8 @@ import (
 // The builders below only say what each row's weights are.
 
 // entryRow returns the row over state q's symbol entries at size n:
-// weight i is unionLookup(entries[i], n).
+// weight i is unionLookup(entries[i], n) times the weight of the
+// entry's symbol.
 func (r *run) entryRow(q, n int) *prefix.Row {
 	if p := r.entryPfx.Load(q, n); p != nil {
 		return p
@@ -18,7 +19,7 @@ func (r *run) entryRow(q, n int) *prefix.Row {
 	entries := r.pl.states[q]
 	return r.pfx.Build(&r.entryPfx, q, n, len(entries), func(w []efloat.E) {
 		for i := range entries {
-			w[i] = r.unionLookup(&entries[i], n)
+			w[i] = r.unionLookup(&entries[i], n).MulWeight(r.pl.weights, entries[i].sym)
 		}
 	})
 }

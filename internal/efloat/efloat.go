@@ -162,6 +162,16 @@ func (x E) Sub(y E) E {
 	return norm(m, x.exp)
 }
 
+// MulWeight returns x · w[i], or x itself when w is nil: the
+// per-symbol weight vector of a weighted automaton, where nil means
+// every weight is 1 and the product is skipped.
+func (x E) MulWeight(w []E, i int) E {
+	if w == nil {
+		return x
+	}
+	return x.Mul(w[i])
+}
+
 // MulFloat returns x · f for a non-negative float64 f.
 func (x E) MulFloat(f float64) E {
 	if f == 0 || x.IsZero() {
@@ -238,6 +248,13 @@ func (x E) Ratio(y E) float64 {
 func (x E) BigFloat() *big.Float {
 	f := big.NewFloat(x.mant).SetPrec(128)
 	return f.SetMantExp(f, int(x.exp))
+}
+
+// BigInt returns x rounded toward zero to an integer; exact for the
+// integer values an E holds exactly (all those below 2^53).
+func (x E) BigInt() *big.Int {
+	i, _ := x.BigFloat().Int(nil)
+	return i
 }
 
 // String formats x in scientific base-10 notation, e.g. "3.21e+100".

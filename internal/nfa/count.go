@@ -109,16 +109,19 @@ func (r *wordRun) estimate(q, l int) efloat.E {
 		return v
 	}
 	// Words starting with different symbols are distinct, so the
-	// per-symbol unions combine by exact summation.
+	// per-symbol unions, each scaled by its symbol's weight, combine by
+	// exact summation.
 	r.words.Put(q, l, efloat.Zero)
 	total := efloat.Zero
 	for i := range r.pl.ix.states[q] {
 		en := &r.pl.ix.states[q][i]
+		v := efloat.Zero
 		if en.set < 0 {
-			total = total.Add(r.estimate(en.targets[0], l-1))
+			v = r.estimate(en.targets[0], l-1)
 		} else {
-			total = total.Add(r.unionEst(en.set, l-1))
+			v = r.unionEst(en.set, l-1)
 		}
+		total = total.Add(v.MulWeight(r.pl.m.weights, en.sym))
 	}
 	r.words.Put(q, l, total)
 	return total

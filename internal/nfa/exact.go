@@ -10,7 +10,8 @@ import (
 // in the determinized automaton every distinct accepted word of length n
 // is a distinct path from the initial subset to an accepting subset, so
 // a depth-indexed DP over reachable subsets counts words without
-// double-counting runs. Worst-case exponential in |S|; intended as a
+// double-counting runs. On a weighted automaton it returns the total
+// weight of L_n(M), each weight taken as the integer its efloat holds. Worst-case exponential in |S|; intended as a
 // test oracle and for small automata.
 func ExactCount(m *NFA, n int) *big.Int {
 	memo := make(map[string]*big.Int)
@@ -35,8 +36,11 @@ func ExactCount(m *NFA, n int) *big.Int {
 		}
 		total := big.NewInt(0)
 		for _, a := range outSymbolsOfSet(m, states) {
-			next := m.Step(states, a)
-			total.Add(total, count(next, left-1))
+			c := count(m.Step(states, a), left-1)
+			if m.weights != nil {
+				c = new(big.Int).Mul(c, m.weights[a].BigInt())
+			}
+			total.Add(total, c)
 		}
 		memo[key] = total
 		return total

@@ -32,6 +32,7 @@ import (
 
 	"pqe/internal/alphabet"
 	"pqe/internal/bitset"
+	"pqe/internal/efloat"
 )
 
 // NFA is a non-deterministic finite automaton (S, Σ, δ, I, F). States
@@ -43,6 +44,10 @@ type NFA struct {
 	trans   []map[int][]int
 	initial []int
 	final   bitset.Set
+	// weights[a] multiplies the weight of every word through a
+	// transition on symbol a; nil means every weight is 1 (see
+	// Weighted).
+	weights []efloat.E
 	// version counts structural mutations; the cached dense index is
 	// rebuilt when it falls behind. Mutating an automaton while counting
 	// or acceptance-testing on it concurrently is not supported.
@@ -52,6 +57,44 @@ type NFA struct {
 	// runs and samplers over the dense index), keyed by version like
 	// idx. See plan.go.
 	cplan atomic.Pointer[wordPlan]
+}
+
+// Weighted returns m under per-symbol weights: a word weighs the
+// product of w[a] over its letters, and the counters (Count,
+// ExactCount) return the total weight of L_n(M) instead of its size. w
+// is indexed by symbol ID; nil means every weight is 1. Transitions on
+// zero-weight symbols are dropped and the result trimmed. Otherwise the
+// result is a view sharing m's transitions and dense index, so neither
+// may be mutated afterwards. When every remaining weight is 1 the
+// result is unweighted, and m itself if nothing was dropped.
+func (m *NFA) Weighted(w []efloat.E) *NFA {
+	unit, zero := true, false
+	for _, x := range w {
+		zero = zero || x.IsZero()
+		unit = unit && (x.IsZero() || x.Cmp(efloat.One) == 0)
+	}
+	src := m
+	if zero {
+		src = NewWithSymbols(m.Symbols)
+		src.AddStates(m.numStates)
+		src.SetInitial(m.initial...)
+		src.SetFinal(m.Finals()...)
+		for q, bySym := range m.trans {
+			for a, targets := range bySym {
+				if !w[a].IsZero() {
+					src.SetTargetsSym(q, a, targets)
+				}
+			}
+		}
+		src = src.Trim()
+	}
+	if unit {
+		return src
+	}
+	v := &NFA{Symbols: src.Symbols, numStates: src.numStates, trans: src.trans,
+		initial: src.initial, final: src.final, weights: w, version: src.version}
+	v.idx.Store(src.index())
+	return v
 }
 
 // New returns an empty NFA over a fresh alphabet.

@@ -10,7 +10,8 @@ import (
 // The builders below only say what each row's weights are.
 
 // entryRow returns the row over state q's symbol entries with rem
-// letters remaining: weight i is unionLookup(entries[i], rem−1).
+// letters remaining: weight i is unionLookup(entries[i], rem−1) times
+// the weight of the entry's symbol.
 func (r *wordRun) entryRow(q, rem int) *prefix.Row {
 	if p := r.entryPfx.Load(q, rem); p != nil {
 		return p
@@ -18,7 +19,7 @@ func (r *wordRun) entryRow(q, rem int) *prefix.Row {
 	entries := r.pl.ix.states[q]
 	return r.pfx.Build(&r.entryPfx, q, rem, len(entries), func(w []efloat.E) {
 		for i := range entries {
-			w[i] = r.unionLookup(&entries[i], rem-1)
+			w[i] = r.unionLookup(&entries[i], rem-1).MulWeight(r.pl.m.weights, entries[i].sym)
 		}
 	})
 }

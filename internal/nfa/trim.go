@@ -4,7 +4,8 @@ import "sort"
 
 // Trim returns an equivalent automaton restricted to useful states:
 // those reachable from an initial state and co-reachable to an
-// accepting state. L(Trim(M)) = L(M) at every length; the counting
+// accepting state, with the same weights. L(Trim(M)) = L(M) at every
+// length; the counting
 // estimator's per-(state, length) tables shrink accordingly. Both
 // closures run on the automaton's dense index — forward over the
 // per-state entries, backward over the reverse CSR adjacency — rather
@@ -49,6 +50,7 @@ func (m *NFA) Trim() *NFA {
 
 	keep := make([]int, m.numStates)
 	out := NewWithSymbols(m.Symbols)
+	out.weights = m.weights
 	for q := 0; q < m.numStates; q++ {
 		if reachable[q] && coreach[q] {
 			keep[q] = out.AddState()

@@ -27,14 +27,33 @@ func EnumerateTrees(a *NFTA, n int, yield func(*Tree) bool) {
 	})
 }
 
-// ExactCount returns |L_n(T)| exactly by enumeration. Test oracle only.
+// ExactCount returns |L_n(T)| exactly by enumeration, or on a weighted
+// automaton the total weight of L_n(T). Test oracle only.
 func ExactCount(a *NFTA, n int) *big.Int {
 	count := big.NewInt(0)
-	EnumerateTrees(a, n, func(*Tree) bool {
-		count.Add(count, big.NewInt(1))
+	EnumerateTrees(a, n, func(t *Tree) bool {
+		count.Add(count, a.weightOf(t))
 		return true
 	})
 	return count
+}
+
+// weightOf returns the product of the weights of t's node labels, each
+// taken as the integer its efloat holds.
+func (a *NFTA) weightOf(t *Tree) *big.Int {
+	w := a.symWeight(t.Sym)
+	for _, c := range t.Children {
+		w.Mul(w, a.weightOf(c))
+	}
+	return w
+}
+
+// symWeight returns a fresh copy of symbol sym's weight as an integer.
+func (a *NFTA) symWeight(sym int) *big.Int {
+	if a.weights == nil {
+		return big.NewInt(1)
+	}
+	return a.weights[sym].BigInt()
 }
 
 // enumAll enumerates all trees of size n whose node labels and arities

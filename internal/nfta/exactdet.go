@@ -11,7 +11,9 @@ import (
 // the "type" of a tree is the set of states from which it is accepted,
 // and two trees of the same type are interchangeable, so counting
 // (type, size) multiplicities with a dynamic program counts distinct
-// trees without enumerating them. Exponential in |S| in the worst case
+// trees without enumerating them. On a weighted automaton the
+// multiplicities are total weights, since a tree's weight depends only
+// on its labels. Exponential in |S| in the worst case
 // (types are subsets) but far more scalable than EnumerateTrees when
 // few types are realized — e.g. gadget chains realize a handful of
 // types at each size, so sizes in the hundreds are fine.
@@ -103,14 +105,14 @@ func ExactCountDet(a *NFTA, n int) *big.Int {
 					}
 					sort.Ints(typ)
 					typ = dedupSortedInts(typ)
-					add(1, typ, big.NewInt(1))
+					add(1, typ, a.symWeight(k.sym))
 				}
 				continue
 			}
 			// Distribute size−1 nodes over k ordered children, picking a
 			// realized (type, size) entry for each.
 			childTypes := make([][]int, k.arity)
-			prod := big.NewInt(1)
+			prod := a.symWeight(k.sym)
 			var rec func(pos, remaining int, prod *big.Int)
 			rec = func(pos, remaining int, prod *big.Int) {
 				if pos == k.arity {

@@ -8,6 +8,7 @@ import (
 
 	"pqe/internal/alphabet"
 	"pqe/internal/bitset"
+	"pqe/internal/efloat"
 )
 
 // Lambda is the pseudo-symbol of λ-transitions (s, λ, R). Automata must
@@ -44,6 +45,9 @@ type NFTA struct {
 	initial   int
 	trans     []Transition
 	numLambda int
+	// weights[a] multiplies the weight of every tree with a node
+	// labelled a; nil means every weight is 1 (see Weighted).
+	weights []efloat.E
 	// seen deduplicates transitions; nil disables deduplication for
 	// constructions whose output is duplicate-free by construction
 	// (translations, λ-elimination, trim), where the key-string build
@@ -59,6 +63,45 @@ type NFTA struct {
 	from    atomic.Pointer[fromIndex]
 	plan    atomic.Pointer[enginePlanBox]
 }
+
+// Weighted returns a under per-symbol weights: a tree weighs the
+// product of w[a] over its node labels, and the counters (the counting
+// engine, ExactCount, ExactCountDet) return the total weight of L_n(T)
+// instead of its size. w is indexed by symbol ID; nil means every
+// weight is 1. Transitions on zero-weight symbols are dropped and the
+// result trimmed. Otherwise the result is a view sharing a's
+// transitions and indexes, so neither may be mutated afterwards. When
+// every remaining weight is 1 the result is unweighted, and a itself if
+// nothing was dropped. The automaton must be λ-free.
+func (a *NFTA) Weighted(w []efloat.E) *NFTA {
+	unit, zero := true, false
+	for _, x := range w {
+		zero = zero || x.IsZero()
+		unit = unit && (x.IsZero() || x.Cmp(efloat.One) == 0)
+	}
+	src := a
+	if zero {
+		src = newNoDedup(a.Symbols)
+		src.numStates, src.initial = a.numStates, a.initial
+		for _, tr := range a.trans {
+			if !w[tr.Sym].IsZero() {
+				src.AddTransitionShared(tr.From, tr.Sym, tr.Children)
+			}
+		}
+		src = src.Trim()
+	}
+	if unit {
+		return src
+	}
+	v := &NFTA{Symbols: src.Symbols, numStates: src.numStates, initial: src.initial,
+		trans: src.trans, numLambda: src.numLambda, weights: w, version: src.version}
+	v.acc.Store(src.accIdx())
+	v.from.Store(src.fromIdx())
+	return v
+}
+
+// Weights returns the per-symbol weight vector, nil when unweighted.
+func (a *NFTA) Weights() []efloat.E { return a.weights }
 
 // enginePlanBox pairs a counting engine's cached per-automaton plan
 // with the structural version it was built at, the same lazy keying as

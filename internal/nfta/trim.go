@@ -2,12 +2,12 @@ package nfta
 
 // Trim returns an equivalent automaton restricted to useful states:
 // those reachable from the initial state *and* productive (able to
-// accept at least one finite tree). The reductions and gadget
-// translations naturally create dead states — e.g. the binary
-// comparator's unreachable free-track head, or bag states whose
-// children can never be completed — and every dead state the counting
-// estimator never has to consider shrinks its memo tables and
-// membership checks. L(Trim(T)) = L(T) at every size.
+// accept at least one finite tree), with the same weights. The
+// reductions and gadget translations naturally create dead states —
+// e.g. the binary comparator's unreachable free-track head, or bag
+// states whose children can never be completed — and every dead state
+// the counting estimator never has to consider shrinks its memo tables
+// and membership checks. L(Trim(T)) = L(T) at every size.
 //
 // The automaton must be λ-free. Its transition list must not contain
 // duplicates — guaranteed for automata built through the deduplicating
@@ -81,6 +81,7 @@ func (a *NFTA) Trim() *NFTA {
 	// no dedup of its own; kept children tuples are carved out of one
 	// backing buffer.
 	out := newNoDedup(a.Symbols)
+	out.weights = a.weights
 	for q := 0; q < a.numStates; q++ {
 		if reachable[q] && productive[q] {
 			keep[q] = out.AddState()

@@ -9,10 +9,9 @@ import (
 
 // DecodeTree inverts EncodeSubinstance: it reads the presence/absence
 // literals off an accepted tree and reconstructs the subinstance mask
-// (the surjectivity direction of the Proposition 1 bijection). Digit
-// symbols introduced by multiplier gadgets are skipped, so the decoder
-// works for trees of both the uniform-reliability automaton and the
-// weighted (Theorem 1) automaton.
+// (the surjectivity direction of the Proposition 1 bijection). The
+// weighted (Theorem 1) automaton accepts the same trees, so the decoder
+// serves both.
 //
 // Every database fact must occur exactly once, positively or negated;
 // anything else means the tree is not in the automaton's language.
@@ -22,26 +21,24 @@ func (r *URReduction) DecodeTree(t *nfta.Tree) ([]bool, error) {
 	var walk func(n *nfta.Tree) error
 	walk = func(n *nfta.Tree) error {
 		name := r.Symbols.Name(n.Sym)
-		if name != nfta.Digit0 && name != nfta.Digit1 {
-			factName := name
-			negated := false
-			if base, ok := nfta.IsNegName(name); ok {
-				factName, negated = base, true
-			}
-			fact, err := pdb.ParseFact(factName)
-			if err != nil {
-				return fmt.Errorf("reduction: tree label %q is not a fact literal: %v", name, err)
-			}
-			idx := r.DB.IndexOf(fact)
-			if idx < 0 {
-				return fmt.Errorf("reduction: tree mentions unknown fact %v", fact)
-			}
-			if seen[idx] {
-				return fmt.Errorf("reduction: fact %v mentioned twice", fact)
-			}
-			seen[idx] = true
-			mask[idx] = !negated
+		factName := name
+		negated := false
+		if base, ok := nfta.IsNegName(name); ok {
+			factName, negated = base, true
 		}
+		fact, err := pdb.ParseFact(factName)
+		if err != nil {
+			return fmt.Errorf("reduction: tree label %q is not a fact literal: %v", name, err)
+		}
+		idx := r.DB.IndexOf(fact)
+		if idx < 0 {
+			return fmt.Errorf("reduction: tree mentions unknown fact %v", fact)
+		}
+		if seen[idx] {
+			return fmt.Errorf("reduction: fact %v mentioned twice", fact)
+		}
+		seen[idx] = true
+		mask[idx] = !negated
 		for _, c := range n.Children {
 			if err := walk(c); err != nil {
 				return err

@@ -9,12 +9,10 @@ import (
 )
 
 // PathPQEReduction is the string-automaton analogue of PQEReduction for
-// self-join-free path queries: the Section 3 NFA with the Section 5.1
-// multiplier gadget applied to every fact literal (footnote 2 of the
-// paper observes the gadget is a string-automaton construction). The
-// number of accepted words of length WordSize equals
-// Σ_{D' ⊨ Q} ∏_{f∈D'} wᵢ ∏_{f∉D'} (dᵢ−wᵢ), so
-// Pr_H(Q) = |L_WordSize(Auto)| / DenProduct.
+// self-join-free path queries: the Section 3 NFA weighted by every fact
+// literal's multiplier. The total weight of the words of length
+// WordSize = |D| equals Σ_{D' ⊨ Q} ∏_{f∈D'} wᵢ ∏_{f∉D'} (dᵢ−wᵢ), so
+// Pr_H(Q) = |L_WordSize(Auto)| / DenProduct under that weight.
 //
 // For path queries this pipeline avoids tree machinery entirely and is
 // the basis of the E10 ablation (string vs tree pipeline).
@@ -22,8 +20,8 @@ type PathPQEReduction struct {
 	Query      *cq.Query
 	H          *pdb.Probabilistic
 	Base       *nfa.NFA // the unweighted Section 3 automaton
-	Auto       *nfa.NFA // with multiplier gadgets expanded
-	WordSize   int      // |D| + Σᵢ Kᵢ
+	Auto       *nfa.NFA // Base weighted by the fact multipliers
+	WordSize   int      // |D|
 	DenProduct *big.Int
 }
 
@@ -34,74 +32,26 @@ func BuildPathPQE(q *cq.Query, h *pdb.Probabilistic) (*PathPQEReduction, error) 
 	if err != nil {
 		return nil, err
 	}
-	return WeightPathNFA(q, h, base)
+	return WeightPathNFA(q, h, base.Trim())
 }
 
-// WeightPathNFA attaches the probability multiplier gadgets to an
-// already-built Section 3 base automaton. The base may have been built
-// over a different database instance as long as it holds the same facts
-// (transition symbols name facts, which are looked up by value), which
-// is what lets a cached base be re-weighted when only probabilities
-// change.
+// WeightPathNFA weights an already-built Section 3 base automaton by
+// the facts' probability multipliers (see factWeights). The base may
+// have been built over a different database instance as long as it
+// holds the same facts (transition symbols name facts, which are looked
+// up by value), which is what lets a cached base be re-weighted when
+// only probabilities change.
 func WeightPathNFA(q *cq.Query, h *pdb.Probabilistic, base *nfa.NFA) (*PathPQEReduction, error) {
-	d := h.DB()
-	budgets := make([]int, d.Size())
-	posMult := make([]*big.Int, d.Size())
-	negMult := make([]*big.Int, d.Size())
-	denProduct := big.NewInt(1)
-	extra := 0
-	for i, f := range d.Facts() {
-		p := h.Prob(f)
-		posMult[i] = p.Num()
-		negMult[i] = new(big.Int).Sub(p.Den(), p.Num())
-		budgets[i] = maxInt(digitsForBig(posMult[i]), digitsForBig(negMult[i]))
-		denProduct.Mul(denProduct, p.Den())
-		extra += budgets[i]
-	}
-
-	mult := nfa.NewMultNFA(base.Symbols)
-	for i := 0; i < base.NumStates(); i++ {
-		mult.AddState()
-	}
-	mult.SetInitial(base.Initial()...)
-	mult.SetFinal(base.Finals()...)
-	resolved := resolveFactSymbols(base.Symbols, d)
-	var buildErr error
-	base.EachTransition(func(from, sym, to int) {
-		if buildErr != nil {
-			return
-		}
-		r := resolved[sym]
-		if r < 0 {
-			buildErr = factSymbolError(base.Symbols, sym)
-			return
-		}
-		idx := int(r >> 1)
-		w := posMult[idx]
-		if r&1 == 1 {
-			w = negMult[idx]
-		}
-		if err := mult.AddTransition(from, sym, w, budgets[idx], to); err != nil {
-			buildErr = err
-		}
-	})
-	if buildErr != nil {
-		return nil, buildErr
+	w, den, _, err := factWeights(base.Symbols, h.DB(), h)
+	if err != nil {
+		return nil, err
 	}
 	return &PathPQEReduction{
 		Query:      q,
 		H:          h,
 		Base:       base,
-		Auto:       mult.Translate().Trim(),
-		WordSize:   d.Size() + extra,
-		DenProduct: denProduct,
+		Auto:       base.Weighted(w),
+		WordSize:   h.Size(),
+		DenProduct: den,
 	}, nil
-}
-
-// digitsForBig mirrors nfta.DigitsFor for the string pipeline.
-func digitsForBig(mult *big.Int) int {
-	if mult.Cmp(big.NewInt(1)) <= 0 {
-		return 0
-	}
-	return new(big.Int).Sub(mult, big.NewInt(1)).BitLen()
 }

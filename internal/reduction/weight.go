@@ -6,31 +6,33 @@ import (
 
 	"pqe/internal/alphabet"
 	"pqe/internal/cq"
+	"pqe/internal/efloat"
 	"pqe/internal/hypertree"
 	"pqe/internal/nfta"
 	"pqe/internal/pdb"
 )
 
 // PQEReduction is the output of the Theorem 1 (Section 5.2)
-// construction: starting from the uniform-reliability automaton, every
-// positive fact transition receives multiplier wᵢ and every negated one
-// dᵢ−wᵢ (with π(fᵢ) = wᵢ/dᵢ), so that
+// construction: the uniform-reliability automaton with every positive
+// fact symbol weighted wᵢ and every negated one dᵢ−wᵢ (with
+// π(fᵢ) = wᵢ/dᵢ), so that under that weight
 //
 //	|L_TreeSize(Auto)| = Σ_{D' ⊨ Q} ∏_{f∈D'} wᵢ ∏_{f∉D'} (dᵢ−wᵢ)
 //
-// and hence Pr_H(Q) = |L_TreeSize(Auto)| / DenProduct.
+// and hence Pr_H(Q) = |L_TreeSize(Auto)| / DenProduct. The paper's
+// multiplier gadgets (Section 5.1) encode the same count in an
+// unweighted automaton with Kᵢ digit nodes per fact; the weights stand
+// in for them because a multiplier depends only on its fact symbol,
+// never on the state (DESIGN.md §5).
 type PQEReduction struct {
 	UR         *URReduction
-	Mult       *nfta.MultNFTA
-	Auto       *nfta.NFTA // translation of Mult, digit gadgets expanded
-	TreeSize   int        // |D| + Σᵢ Kᵢ
+	Auto       *nfta.NFTA // UR.Auto weighted by the fact multipliers
+	TreeSize   int        // |D|
 	DenProduct *big.Int   // d = ∏ᵢ dᵢ
 	// DigitBudget[i] is Kᵢ = max(u(wᵢ), u(dᵢ−wᵢ)) for the i-th fact: the
-	// comparator width shared by the fact's positive and negated
-	// transitions so all accepted trees have equal size. (With
-	// asymmetric widths u(wᵢ) and u(dᵢ−wᵢ), as in a literal reading of
-	// the paper, trees for different subinstances would have different
-	// sizes and a single fixed-size count could not see them all.)
+	// digit nodes the Section 5.1 gadget would add to every accepted
+	// tree for it (one width for the positive and negated transitions,
+	// so all accepted trees have equal size). Explain reports it.
 	DigitBudget []int
 }
 
@@ -45,8 +47,8 @@ func BuildPQE(q *cq.Query, h *pdb.Probabilistic, dec *hypertree.Decomposition) (
 	return WeightUR(ur, h)
 }
 
-// WeightUR attaches probability multipliers to an existing
-// uniform-reliability reduction.
+// WeightUR weights an existing uniform-reliability reduction by the
+// facts' probability multipliers.
 func WeightUR(ur *URReduction, h *pdb.Probabilistic) (*PQEReduction, error) {
 	d := ur.DB
 	if h.DB() != d {
@@ -60,72 +62,54 @@ func WeightUR(ur *URReduction, h *pdb.Probabilistic) (*PQEReduction, error) {
 			}
 		}
 	}
-
-	budgets := make([]int, d.Size())
-	posMult := make([]*big.Int, d.Size())
-	negMult := make([]*big.Int, d.Size())
-	denProduct := big.NewInt(1)
-	extra := 0
-	for i, f := range d.Facts() {
-		p := h.Prob(f)
-		w := p.Num()
-		den := p.Den()
-		posMult[i] = w
-		negMult[i] = new(big.Int).Sub(den, w)
-		budgets[i] = maxInt(nfta.DigitsFor(posMult[i]), nfta.DigitsFor(negMult[i]))
-		denProduct.Mul(denProduct, den)
-		extra += budgets[i]
-	}
-
-	mult := nfta.NewMult(ur.Symbols)
-	for i := 0; i < ur.Auto.NumStates(); i++ {
-		mult.AddState()
-	}
-	mult.SetInitial(ur.Auto.Initial())
-	resolved := resolveFactSymbols(ur.Symbols, d)
-	for _, tr := range ur.Auto.Transitions() {
-		r := resolved[tr.Sym]
-		if r < 0 {
-			return nil, factSymbolError(ur.Symbols, tr.Sym)
-		}
-		idx := int(r >> 1)
-		m := posMult[idx]
-		if r&1 == 1 {
-			m = negMult[idx]
-		}
-		if err := mult.AddTransition(tr.From, tr.Sym, m, budgets[idx], tr.Children...); err != nil {
-			return nil, err
-		}
-	}
-	auto, err := mult.Translate()
+	w, den, budgets, err := factWeights(ur.Symbols, d, h)
 	if err != nil {
 		return nil, err
 	}
-	// The comparator gadgets leave dead free-track heads behind;
-	// zero-multiplier transitions may also strand whole branches.
-	auto = auto.Trim()
 	return &PQEReduction{
 		UR:          ur,
-		Mult:        mult,
-		Auto:        auto,
-		TreeSize:    d.Size() + extra,
-		DenProduct:  denProduct,
+		Auto:        ur.Auto.Weighted(w),
+		TreeSize:    d.Size(),
+		DenProduct:  den,
 		DigitBudget: budgets,
 	}, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// factWeights returns the per-symbol weights of an automaton over d's
+// fact literals under h's probabilities π(fᵢ) = wᵢ/dᵢ: wᵢ on fact i's
+// symbol and dᵢ−wᵢ on its negation, as efloats (exact below 2^53). It
+// also returns ∏ dᵢ and each fact's digit budget Kᵢ. Every interned
+// symbol must name a literal of a fact of d.
+func factWeights(symbols *alphabet.Interner, d *pdb.Database, h *pdb.Probabilistic) ([]efloat.E, *big.Int, []int, error) {
+	pos := make([]efloat.E, d.Size())
+	neg := make([]efloat.E, d.Size())
+	budgets := make([]int, d.Size())
+	den := big.NewInt(1)
+	for i, f := range d.Facts() {
+		p := h.Prob(f)
+		negMult := new(big.Int).Sub(p.Den(), p.Num())
+		pos[i], neg[i] = efloat.FromBigInt(p.Num()), efloat.FromBigInt(negMult)
+		budgets[i] = max(nfta.DigitsFor(p.Num()), nfta.DigitsFor(negMult))
+		den.Mul(den, p.Den())
 	}
-	return b
+	resolved := resolveFactSymbols(symbols, d)
+	w := make([]efloat.E, len(resolved))
+	for sym, r := range resolved {
+		switch {
+		case r < 0:
+			return nil, nil, nil, factSymbolError(symbols, sym)
+		case r&1 == 1:
+			w[sym] = neg[r>>1]
+		default:
+			w[sym] = pos[r>>1]
+		}
+	}
+	return w, den, budgets, nil
 }
 
 // resolveFactSymbols maps every interned symbol to its fact's database
 // position: resolved[sym] = 2·index | neg, or -1 when the symbol does
-// not name a fact of d (digit symbols from an earlier weighting over
-// the same interner, or a genuinely missing fact — the caller tells the
-// two apart with factSymbolError on use). Symbol names produced by the
+// not name a fact of d (factSymbolError says why). Symbol names produced by the
 // reductions are canonical fact keys, so resolution is one map lookup
 // per symbol instead of a fact-literal parse per transition.
 func resolveFactSymbols(symbols *alphabet.Interner, d *pdb.Database) []int32 {
